@@ -42,6 +42,7 @@ from .digraph import (
     load_graph,
 )
 from .dynamics import (
+    DEFAULT_WINDOW,
     InitialCondition,
     NodeParams,
     SimConfig,
@@ -78,16 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_MODE_BY_COMMAND = {
-    "analyze": "ANALYZE",
-    "predict": "PREDICT",
-    "simulate": "SIMULATE",
-    "debias": "DEBIAS",
-    "study": "STUDY",
-    "mc-estimate": "MC_ESTIMATE",
-}
-
-
 def _load_config(path: "str | None") -> dict:
     if path is None:
         return {}
@@ -113,10 +104,8 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
 
 def _check_mode(config: dict, command: str) -> None:
     mode = config.get("mode")
-    if mode is not None and mode != _MODE_BY_COMMAND[command]:
-        raise UsageError(
-            f"config mode {mode!r} contradicts subcommand {command!r}"
-        )
+    if mode is not None and mode != command.upper().replace("-", "_"):
+        raise UsageError(f"config mode {mode!r} contradicts subcommand {command!r}")
 
 
 def _load_graph_file(path: "str | None") -> Digraph:
@@ -181,16 +170,37 @@ def _emit_json(doc: dict, out: "str | None") -> None:
         Path(out).write_text(text)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive(value: float, name: str) -> float:
-    if value is None or not np.isfinite(value) or value <= 0:
+    if not _is_number(value) or not np.isfinite(value) or value <= 0:
         raise UsageError(f"{name} must be positive, got {value!r}")
     return float(value)
 
 
-def _positive_int(value: int, name: str) -> int:
-    if value is None or int(value) != value or value < 1:
-        raise UsageError(f"{name} must be a positive integer, got {value!r}")
+def _integer(value: int, name: str, minimum: int) -> int:
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if not _is_number(value) or not whole or value < minimum:
+        raise UsageError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _positive_int(value: int, name: str) -> int:
+    return _integer(value, name, 1)
+
+
+def _detect_horizon(value: int) -> int:
+    """A horizon long enough for ``detect_consensus``'s terminal window."""
+    horizon = _positive_int(value, "--horizon")
+    if horizon <= DEFAULT_WINDOW:
+        raise UsageError(f"--horizon must exceed the {DEFAULT_WINDOW}-step detection window")
+    return horizon
+
+
+def _seed(args: argparse.Namespace, config: dict) -> int:
+    return _integer(_resolve(args, config, "seed", 0), "--seed", 0)
 
 
 def _build_init(text: str, graph: Digraph, step_s: float, seed: int) -> InitialCondition:
@@ -208,20 +218,16 @@ def _build_init(text: str, graph: Digraph, step_s: float, seed: int) -> InitialC
     raise UsageError(f"unknown initial condition {text!r}; use zero, constant:<v>, or random")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_mode(config, "analyze")
+def _cmd_analyze(args: argparse.Namespace, config: dict) -> int:
     graph = _load_graph_file(_resolve(args, config, "graph", None))
     report = classify(graph)
     _emit_json(report.to_json_dict(), _resolve(args, config, "out", None))
     return EXIT_OK
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_mode(config, "predict")
+def _cmd_predict(args: argparse.Namespace, config: dict) -> int:
     graph = _load_graph_file(_resolve(args, config, "graph", None))
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _seed(args, config)
     params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
     quantize_step = _resolve(args, config, "quantize_step", None)
@@ -232,11 +238,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_mode(config, "simulate")
+def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     graph = _load_graph_file(_resolve(args, config, "graph", None))
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _seed(args, config)
     params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
     horizon = _positive_int(_resolve(args, config, "horizon", None), "--horizon")
@@ -251,11 +255,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_debias(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_mode(config, "debias")
+def _cmd_debias(args: argparse.Namespace, config: dict) -> int:
     graph = _load_graph_file(_resolve(args, config, "graph", None))
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _seed(args, config)
     params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
     horizon = _positive_int(_resolve(args, config, "horizon", 6000), "--horizon")
@@ -264,6 +266,8 @@ def _cmd_debias(args: argparse.Namespace) -> int:
     if mode_text not in ("simulated", "analytic"):
         raise UsageError(f"--mode must be simulated or analytic, got {mode_text!r}")
     mode = DebiasMode.SIMULATED if mode_text == "simulated" else DebiasMode.ANALYTIC
+    if mode is DebiasMode.SIMULATED:
+        horizon = _detect_horizon(horizon)
     cfg = SimConfig(coupling=coupling, step_s=step_s, horizon=horizon)
     result = debias_two_step(graph, params, cfg, mode)
     doc = result.to_json_dict()
@@ -278,9 +282,7 @@ def _cmd_debias(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_mode(config, "study")
+def _cmd_study(args: argparse.Namespace, config: dict) -> int:
     preset = _resolve(args, config, "preset", None)
     graph_path = _resolve(args, config, "graph", None)
     params_path = _resolve(args, config, "params", None)
@@ -293,10 +295,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
-    horizon = _positive_int(_resolve(args, config, "horizon", 10000), "--horizon")
-    lag_steps = int(_resolve(args, config, "lag_steps", 50))
-    if lag_steps < 0:
-        raise UsageError("--lag-steps must be nonnegative")
+    horizon = _detect_horizon(_resolve(args, config, "horizon", 10000))
+    lag_steps = _integer(_resolve(args, config, "lag_steps", 50), "--lag-steps", 0)
     outdir = _resolve(args, config, "outdir", None)
     if outdir is None:
         raise UsageError("study requires an output directory (--outdir)")
@@ -304,7 +304,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     graph = params = None
     if graph_path is not None:
         graph = _load_graph_file(graph_path)
-        seed = int(_resolve(args, config, "seed", 0))
+        seed = _seed(args, config)
         params = _load_params_file(params_path, graph.n, seed)
 
     result = run_topology_study(
@@ -325,9 +325,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_mc_estimate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_mode(config, "mc-estimate")
+def _cmd_mc_estimate(args: argparse.Namespace, config: dict) -> int:
     out = _resolve(args, config, "out", None)
     if out is None:
         raise UsageError("mc-estimate requires an output CSV path (--out)")
@@ -338,18 +336,20 @@ def _cmd_mc_estimate(args: argparse.Namespace) -> int:
             coupling=_positive(_resolve(args, config, "coupling", 1.0), "--coupling"),
             step_s=_positive(_resolve(args, config, "ts", 1e-3), "--ts"),
             horizon=_positive_int(_resolve(args, config, "horizon", 3000), "--horizon"),
-            delay_span_steps=int(_resolve(args, config, "delay_span_steps", 100)),
+            delay_span_steps=_integer(
+                _resolve(args, config, "delay_span_steps", 100), "--delay-span-steps", 0
+            ),
             hear_threshold=float(_resolve(args, config, "hear_threshold", 0.1)),
             tx_power=float(_resolve(args, config, "tx_power", 1.0)),
             amplitude=float(_resolve(args, config, "amplitude", 1.0)),
             noise_var=float(_resolve(args, config, "noise_var", 1.0)),
             truth=float(_resolve(args, config, "truth", 1.0)),
-            seed=int(_resolve(args, config, "seed", 0)),
+            seed=_seed(args, config),
             max_attempts=_positive_int(
                 _resolve(args, config, "max_attempts", 64), "--max-attempts"
             ),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     summary = run_estimation_study(cfg)
     summary.write_csv(out)
@@ -457,14 +457,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        config = _load_config(args.config)
+        _check_mode(config, args.command)
+        return args.handler(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GraphFormatError as exc:
+    except (DataError, GraphFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError) as exc:

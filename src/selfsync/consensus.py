@@ -152,24 +152,20 @@ def predict(
     if report is None:
         report = classify(g)
 
-    gains = g.gain_matrix()
     if quantize_step is None:
-        delays = g.delay_matrix()
+        delays = g.delay_s
     else:
-        delays = quantize_delays(g, quantize_step).delay_matrix()
-    delay_load = (gains * delays).sum(axis=1)
+        delays = quantize_delays(g, quantize_step).lags[g.dst, g.src] * quantize_step
+    delay_load = np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
 
     gamma = report.influence
     comp_of = np.empty(g.n, dtype=int)
     for idx, comp in enumerate(report.sccs):
         comp_of[list(comp)] = idx
 
-    reach_sets = _component_reach(report)
-    owners: list[list[int]] = [[] for _ in range(g.n)]
-    for k, reach in enumerate(reach_sets):
-        for q in range(g.n):
-            if comp_of[q] in reach:
-                owners[q].append(k)
+    # reaches[k, q]: root component k influences node q.
+    reaches = np.array([np.isin(comp_of, list(reach)) for reach in _component_reach(report)])
+    owners = reaches.sum(axis=0)
 
     clusters = []
     for k, root_idx in enumerate(report.root_sccs):
@@ -181,12 +177,12 @@ def predict(
             + coupling * np.sum(block * delay_load[nodes])
         )
         omega = num / den
-        members = tuple(q for q in range(g.n) if owners[q] == [k])
+        members = tuple(np.flatnonzero(reaches[k] & (owners == 1)).tolist())
         clusters.append(
             ClusterPrediction(members=members, root=tuple(report.sccs[root_idx]), omega=omega)
         )
 
-    unresolved = tuple(q for q in range(g.n) if len(owners[q]) > 1)
+    unresolved = tuple(np.flatnonzero(owners > 1).tolist())
     global_omega = clusters[0].omega if len(clusters) == 1 else None
     return ConsensusPrediction(
         kind=report.kind,
@@ -244,8 +240,9 @@ def debias_two_step(
         omega_stat = _global_rate(simulate(g, params, cfg), "statistic run")
         omega_ref = _global_rate(simulate(g, ones, cfg), "all-ones run")
     else:
-        pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s)
-        pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s)
+        report = classify(g)
+        pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s, report=report)
+        pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s, report=report)
         if pred_stat.global_omega is None:
             raise DebiasError("two-step debias needs a single root component")
         omega_stat = pred_stat.global_omega

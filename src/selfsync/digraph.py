@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,10 @@ __all__ = [
 # infinity norm of the Laplacian.
 NULL_RESIDUAL_RTOL = 1e-10
 
+# Edge columns, in ``Edge`` field order, and the JSON value types each
+# accepts in the wire format (bools fail the exact type match).
+_COLUMNS = {"dst": (int,), "src": (int,), "gain": (int, float), "delay_s": (int, float)}
+
 
 class GraphFormatError(ValueError):
     """Malformed graph description (ids, weights, duplicates, JSON shape)."""
@@ -51,8 +56,7 @@ class NullSpaceError(RuntimeError):
     """A root component's null space is defective or numerically ambiguous."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Directed link: ``dst`` hears ``src`` with a positive gain and a delay."""
 
     dst: int
@@ -61,48 +65,97 @@ class Edge:
     delay_s: float
 
 
-@dataclass(frozen=True)
+def _column(values, name: str, integral: bool) -> np.ndarray:
+    """One edge column as an array: integer ids, or real numbers."""
+    try:
+        arr = np.asarray(values, dtype=None if integral else float)
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"{name} values must be real numbers") from exc
+    if not integral:
+        return arr
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphFormatError(f"{name} ids must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Digraph:
     """Immutable weighted digraph on nodes ``0 .. n-1``.
 
-    Validation happens at construction: ids in range, no self-loops, no
-    duplicate ``(dst, src)`` pairs, gains strictly positive and finite,
-    delays finite and nonnegative.
+    Edge ``k`` is ``dst[k]`` hearing ``src[k]`` with weight ``gain[k]`` and
+    delay ``delay_s[k]``; the four arrays are read-only and share one edge
+    order.  ``Digraph(n, edges)`` reads :class:`Edge` records and
+    :meth:`from_arrays` takes the arrays directly.  Validation happens at
+    construction: ids in range, no self-loops, no duplicate ``(dst, src)``
+    pairs, gains strictly positive and finite, delays finite and
+    nonnegative.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    dst: np.ndarray
+    src: np.ndarray
+    gain: np.ndarray
+    delay_s: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise GraphFormatError(f"node count must be a positive integer, got {self.n!r}")
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if not (0 <= e.dst < self.n) or not (0 <= e.src < self.n):
-                raise GraphFormatError(f"edge ({e.dst}, {e.src}) out of range for n={self.n}")
-            if e.dst == e.src:
-                raise GraphFormatError(f"self-loop at node {e.dst}")
-            key = (e.dst, e.src)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge (dst={e.dst}, src={e.src})")
-            seen.add(key)
-            if not np.isfinite(e.gain) or e.gain <= 0.0:
-                raise GraphFormatError(f"edge {key} has non-positive or non-finite gain {e.gain!r}")
-            if not np.isfinite(e.delay_s) or e.delay_s < 0.0:
-                raise GraphFormatError(f"edge {key} has invalid delay {e.delay_s!r}")
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        edges = tuple(edges)
+        self._assign(n, *([getattr(e, name) for e in edges] for name in _COLUMNS))
+
+    @classmethod
+    def from_arrays(cls, n: int, dst, src, gain, delay_s) -> "Digraph":
+        """Graph from per-edge arrays, validated like ``Digraph(n, edges)``."""
+        g = cls.__new__(cls)
+        g._assign(n, dst, src, gain, delay_s)
+        return g
+
+    def _assign(self, n, *columns) -> None:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise GraphFormatError(f"node count must be a positive integer, got {n!r}")
+        cols = [_column(c, name, types == (int,))
+                for c, (name, types) in zip(columns, _COLUMNS.items())]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise GraphFormatError("dst, src, gain and delay_s must be 1-d and equally long")
+        dst, src, gain, delay_s = cols
+        repeated = np.ones(dst.size, dtype=bool)
+        repeated[np.unique(dst * n + src, return_index=True)[1]] = False
+        for bad, what in (
+            ((dst < 0) | (dst >= n) | (src < 0) | (src >= n), f"is out of range for n={n}"),
+            (dst == src, "is a self-loop"),
+            (repeated, "repeats an earlier edge"),
+            (~np.isfinite(gain) | (gain <= 0.0), "has a non-positive or non-finite gain"),
+            (~np.isfinite(delay_s) | (delay_s < 0.0), "has a negative or non-finite delay"),
+        ):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise GraphFormatError(f"edge (dst={dst[k]}, src={src[k]}) {what}")
+        object.__setattr__(self, "n", n)
+        for name, col in zip(_COLUMNS, cols):
+            col = col.copy()
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as :class:`Edge` records, built afresh on each access."""
+        return tuple(map(Edge, *(getattr(self, name).tolist() for name in _COLUMNS)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
 
     def gain_matrix(self) -> np.ndarray:
         """Dense gain matrix ``A`` with ``A[dst, src]`` > 0 on edges, else 0."""
         a = np.zeros((self.n, self.n))
-        for e in self.edges:
-            a[e.dst, e.src] = e.gain
+        a[self.dst, self.src] = self.gain
         return a
 
     def delay_matrix(self) -> np.ndarray:
         """Dense delay matrix aligned with :meth:`gain_matrix` (0 off-edge)."""
         d = np.zeros((self.n, self.n))
-        for e in self.edges:
-            d[e.dst, e.src] = e.delay_s
+        d[self.dst, self.src] = self.delay_s
         return d
 
     def with_delays(self, delays: "np.ndarray | float") -> "Digraph":
@@ -112,11 +165,10 @@ class Digraph:
         ``(n, n)`` matrix indexed like :meth:`delay_matrix`.
         """
         if np.isscalar(delays):
-            new = tuple(Edge(e.dst, e.src, e.gain, float(delays)) for e in self.edges)
+            new = np.full(self.dst.size, float(delays))
         else:
-            mat = np.asarray(delays, dtype=float)
-            new = tuple(Edge(e.dst, e.src, e.gain, float(mat[e.dst, e.src])) for e in self.edges)
-        return Digraph(self.n, new)
+            new = np.asarray(delays, dtype=float)[self.dst, self.src]
+        return Digraph.from_arrays(self.n, self.dst, self.src, self.gain, new)
 
 
 class ConnectivityClass(str, Enum):
@@ -192,7 +244,8 @@ def _tarjan_components(n: int, succ: list[list[int]]) -> list[list[int]]:
                 on_stack[v] = True
             descended = False
             children = succ[v]
-            while child_idx < len(children):
+            end = len(children)
+            while child_idx < end:
                 w = children[child_idx]
                 child_idx += 1
                 if order[w] == -1:
@@ -200,8 +253,8 @@ def _tarjan_components(n: int, succ: list[list[int]]) -> list[list[int]]:
                     work.append([w, 0])
                     descended = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
             if descended:
                 continue
             work.pop()
@@ -221,6 +274,13 @@ def _tarjan_components(n: int, succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def _successors(n: int, tails: np.ndarray, heads: np.ndarray) -> list[list[int]]:
+    """Successor lists ``heads`` of each tail node, in edge order."""
+    order = np.argsort(tails, kind="stable")
+    bounds = np.cumsum(np.bincount(tails, minlength=n))[:-1]
+    return [part.tolist() for part in np.split(heads[order], bounds)]
+
+
 def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
     """Strongly connected components and the condensation DAG.
 
@@ -229,36 +289,20 @@ def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[
     edges ``(a, b)``: some node in component ``b`` hears some node in
     component ``a``.  The condensation is acyclic by construction.
     """
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        succ[e.src].append(e.dst)
-    comps = _tarjan_components(g.n, succ)
-    comp_of = [0] * g.n
+    comps = _tarjan_components(g.n, _successors(g.n, g.src, g.dst))
+    comp_of = np.empty(g.n, dtype=np.int64)
     for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    cond = {
-        (comp_of[e.src], comp_of[e.dst])
-        for e in g.edges
-        if comp_of[e.src] != comp_of[e.dst]
-    }
-    return tuple(tuple(c) for c in comps), tuple(sorted(cond))
+        comp_of[comp] = idx
+    flow = np.stack([comp_of[g.src], comp_of[g.dst]], axis=1)
+    cond = np.unique(flow[flow[:, 0] != flow[:, 1]], axis=0)
+    return tuple(map(tuple, comps)), tuple(map(tuple, cond.tolist()))
 
 
 def _weakly_connected(g: Digraph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        ra, rb = find(e.dst), find(e.src)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(g.n)}) == 1
+    """One strongly connected component once every edge runs both ways."""
+    tails = np.concatenate([g.src, g.dst])
+    heads = np.concatenate([g.dst, g.src])
+    return len(_tarjan_components(g.n, _successors(g.n, tails, heads))) == 1
 
 
 def classify(g: Digraph) -> ConnectivityReport:
@@ -289,7 +333,11 @@ def classify(g: Digraph) -> ConnectivityReport:
     scale = max(1.0, float(received.max(initial=0.0)))
     balanced = bool(np.all(np.abs(received - transmitted) <= 1e-12 * scale))
 
-    influence = _influence_vector(laplacian(g), sccs, root_sccs)
+    lap = np.diag(received) - a
+    influence = np.zeros(g.n)
+    for ri in root_sccs:
+        nodes = np.asarray(sccs[ri], dtype=int)
+        influence[nodes] = _root_block_null_vector(lap[np.ix_(nodes, nodes)])
     return ConnectivityReport(
         kind=kind,
         sccs=sccs,
@@ -303,40 +351,21 @@ def classify(g: Digraph) -> ConnectivityReport:
 def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
     """Positive left null vector of one root component's Laplacian block.
 
-    Shifted power iteration on ``I - sigma * block.T`` with
-    ``sigma = 0.5 / max(diagonal)`` supplies the positive direction, then a
-    single pinned linear solve polishes it to solver precision.  Raises
-    :class:`NullSpaceError` when the block's null space is not
-    one-dimensional (a malformed gain matrix).
+    A strongly connected block has a one-dimensional left null space
+    spanned by a positive vector, so pinning its first coordinate to 1
+    and solving the remaining equations of ``block.T @ x = 0`` is a
+    nonsingular system.  Raises :class:`NullSpaceError` when the solution
+    is not strictly positive or leaves a residual above tolerance (a
+    malformed gain matrix).
     """
     k = block.shape[0]
     if k == 1:
         return np.ones(1)
-    diag_max = float(block.diagonal().max())
-    if diag_max <= 0.0 or not np.isfinite(diag_max):
-        raise NullSpaceError("root component block has no positive coupling on its diagonal")
-    sigma = 0.5 / diag_max
-    step = np.eye(k) - sigma * block.T
-    vec = np.full(k, 1.0 / np.sqrt(k))
-    for _ in range(50 * k):
-        nxt = step @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise NullSpaceError("power iteration collapsed; block is defective")
-        nxt /= norm
-        if np.max(np.abs(nxt - vec)) < 1e-13:
-            vec = nxt
-            break
-        vec = nxt
-
-    # Polish: pin the largest coordinate to 1 and solve the remaining
-    # equations of block.T @ x = 0 exactly.
-    pin = int(np.argmax(vec))
     system = block.T.copy()
-    system[pin, :] = 0.0
-    system[pin, pin] = 1.0
+    system[0, :] = 0.0
+    system[0, 0] = 1.0
     rhs = np.zeros(k)
-    rhs[pin] = 1.0
+    rhs[0] = 1.0
     try:
         x = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -352,18 +381,6 @@ def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _influence_vector(
-    lap: np.ndarray,
-    sccs: tuple[tuple[int, ...], ...],
-    root_sccs: tuple[int, ...],
-) -> np.ndarray:
-    gamma = np.zeros(lap.shape[0])
-    for ri in root_sccs:
-        nodes = np.asarray(sccs[ri], dtype=int)
-        gamma[nodes] = _root_block_null_vector(lap[np.ix_(nodes, nodes)])
-    return gamma
-
-
 def left_null_vector(g: Digraph, report: ConnectivityReport | None = None) -> np.ndarray:
     """Nonnegative left null vector of the Laplacian.
 
@@ -372,16 +389,12 @@ def left_null_vector(g: Digraph, report: ConnectivityReport | None = None) -> np
     unit 2-norm.  The assembled vector satisfies
     ``max|gamma @ L| <= 1e-10 * norm_inf(L)``.
     """
-    if report is not None:
-        gamma = np.array(report.influence, copy=True)
-    else:
-        sccs, condensation = scc_decompose(g)
-        heard = {b for (_a, b) in condensation}
-        roots = tuple(i for i in range(len(sccs)) if i not in heard)
-        gamma = _influence_vector(laplacian(g), sccs, roots)
+    if report is None:
+        report = classify(g)
+    gamma = np.array(report.influence, copy=True)
     lap = laplacian(g)
-    lap_norm = float(np.max(np.abs(lap).sum(axis=1))) if g.n else 0.0
-    resid = float(np.max(np.abs(gamma @ lap))) if g.n else 0.0
+    lap_norm = float(np.max(np.abs(lap).sum(axis=1)))
+    resid = float(np.max(np.abs(gamma @ lap)))
     if resid > NULL_RESIDUAL_RTOL * max(lap_norm, 1e-300):
         raise NullSpaceError(
             f"left null vector residual {resid:.3e} exceeds tolerance for norm {lap_norm:.3e}"
@@ -396,8 +409,10 @@ def load_graph(path: "str | Path") -> Digraph:
 
         {"n": 3, "edges": [{"dst": 0, "src": 1, "gain": 1.0, "delay_s": 0.0}, ...]}
 
-    Node ids are 0-based.  A repeated ``(dst, src)`` pair, malformed
-    fields, or ids out of range raise :class:`GraphFormatError`.
+    Node ids are 0-based JSON integers; gains and delays are JSON numbers.
+    A repeated ``(dst, src)`` pair, a missing or mistyped field (a bool,
+    string or fractional id), or ids out of range raise
+    :class:`GraphFormatError`.
     """
     text = Path(path).read_text()
     try:
@@ -406,35 +421,28 @@ def load_graph(path: "str | Path") -> Digraph:
         raise GraphFormatError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError('graph JSON must be an object with "n" and "edges"')
-    raw_edges = doc["edges"]
+    n, raw_edges = doc["n"], doc["edges"]
+    if type(n) is not int:
+        raise GraphFormatError(f'"n" must be an integer, got {n!r}')
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list')
-    edges = []
-    for item in raw_edges:
+    cols = {}
+    for key, types in _COLUMNS.items():
         try:
-            edges.append(
-                Edge(
-                    dst=int(item["dst"]),
-                    src=int(item["src"]),
-                    gain=float(item["gain"]),
-                    delay_s=float(item["delay_s"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"malformed edge entry {item!r}") from exc
-    n = doc["n"]
-    if not isinstance(n, int):
-        raise GraphFormatError(f'"n" must be an integer, got {n!r}')
-    return Digraph(n=n, edges=tuple(edges))
+            cols[key] = [item[key] for item in raw_edges]
+        except (KeyError, TypeError) as exc:
+            raise GraphFormatError(f"an edge entry lacks {key!r}: {exc!r}") from exc
+        bad = [v for v in cols[key] if type(v) not in types]
+        if bad:
+            raise GraphFormatError(f"edge field {key!r} got {bad[0]!r}")
+    return Digraph.from_arrays(n, **cols)
 
 
 def save_graph(g: Digraph, path: "str | Path") -> None:
     """Write the JSON wire format read back by :func:`load_graph`."""
+    cols = [getattr(g, key).tolist() for key in _COLUMNS]
     doc = {
         "n": g.n,
-        "edges": [
-            {"dst": e.dst, "src": e.src, "gain": e.gain, "delay_s": e.delay_s}
-            for e in g.edges
-        ],
+        "edges": [dict(zip(_COLUMNS, row)) for row in zip(*cols)],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -170,8 +170,9 @@ def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
     """
     if step_s <= 0 or not np.isfinite(step_s):
         raise ValueError("step_s must be finite and positive")
-    lags = np.rint(g.delay_matrix() / step_s).astype(np.int64)
-    m_max = int(lags.max()) if g.edges else 0
+    lags = np.zeros((g.n, g.n), dtype=np.int64)
+    lags[g.dst, g.src] = np.rint(g.delay_s / step_s)
+    m_max = int(lags.max())
     return DelayQuantization(lags=lags, m_max=m_max, step_s=step_s)
 
 
@@ -211,10 +212,8 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
     m_max = quant.m_max
     horizon = cfg.horizon
 
-    dsts = np.fromiter((e.dst for e in g.edges), dtype=np.int64, count=len(g.edges))
-    srcs = np.fromiter((e.src for e in g.edges), dtype=np.int64, count=len(g.edges))
-    gains = np.fromiter((e.gain for e in g.edges), dtype=float, count=len(g.edges))
-    lags = quant.lags[dsts, srcs] if len(g.edges) else np.zeros(0, dtype=np.int64)
+    dsts, srcs, gains = g.dst, g.src, g.gain
+    lags = quant.lags[dsts, srcs]
 
     rate = cfg.coupling / params.weights
     inflow = np.zeros(n)
@@ -235,7 +234,7 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
     derivs = np.empty((horizon, n))
     stats = params.stats
 
-    has_edges = len(g.edges) > 0
+    has_edges = dsts.size > 0
     # Overflow is reported through SimulationDiverged, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .digraph import ConnectivityClass, Digraph, Edge, classify
+from .digraph import ConnectivityClass, Digraph, classify
 
 __all__ = [
     "Fading",
@@ -167,15 +167,11 @@ def build_channel(cfg: RadioConfig, positions: np.ndarray) -> Digraph:
     wave = solved_wave_speed(cfg, positions)
     prop = dist / wave if np.isfinite(wave) else np.zeros_like(dist)
 
-    edges = []
-    for dst in range(cfg.n):
-        for src in range(cfg.n):
-            if dst == src:
-                continue
-            a = float(amp[dst, src])
-            if a >= cfg.hear_threshold and a > 0.0:
-                edges.append(Edge(dst, src, a, cfg.delay_offset_s + float(prop[dst, src])))
-    return Digraph(cfg.n, tuple(edges))
+    # np.nonzero walks the matrix in row-major order.
+    dst, src = np.nonzero(off_diag & (amp >= cfg.hear_threshold) & (amp > 0.0))
+    return Digraph.from_arrays(
+        cfg.n, dst, src, amp[dst, src], cfg.delay_offset_s + prop[dst, src]
+    )
 
 
 def _attempt_seed(seed: int, attempt: int) -> int:

@@ -309,6 +309,28 @@ def test_missing_graph_flag(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["debias", "--graph", "{graph}", "--params", "{params}", "--horizon", 100], None),
+    (["study", "--preset", "chain", "--horizon", 150, "--outdir", "{tmp}/study"], None),
+    (["simulate", "--graph", "{graph}", "--params", "{params}", "--out", "{tmp}/t.csv"],
+     {"horizon": "abc"}),
+    (["predict", "--graph", "{graph}", "--params", "{params}"], {"seed": "x"}),
+    (["mc-estimate", "--out", "{tmp}/mc.csv"], {"seed": -1}),
+    (["predict", "--graph", "{graph}", "--params", "{params}"], {"coupling": "abc"}),
+])
+def test_bad_values_are_usage_errors(chain_files, tmp_path, capsys, argv, config):
+    graph, params = chain_files
+    args = [str(a).format(graph=graph, params=params, tmp=tmp_path) for a in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 # === params with seeded observations ===
 
 def test_params_truth_draws_seeded_observations(chain_files, tmp_path, capsys):

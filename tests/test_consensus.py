@@ -203,6 +203,22 @@ def test_debias_recovers_weighted_mean_analytic():
         assert result.estimate == pytest.approx(target, rel=1e-12)
 
 
+def test_debias_analytic_classifies_once(monkeypatch):
+    from selfsync import consensus
+
+    calls = []
+
+    def counting_classify(g):
+        calls.append(g)
+        return classify(g)
+
+    monkeypatch.setattr(consensus, "classify", counting_classify)
+    g = random_qsc_graph(np.random.default_rng(3), 6)
+    params = NodeParams(weights=np.ones(6), stats=np.arange(6.0))
+    debias_two_step(g, params, SimConfig(30.0, 1e-3, 2), DebiasMode.ANALYTIC)
+    assert len(calls) == 1
+
+
 def test_debias_constant_statistic_returns_it():
     g = Digraph(3, (
         Edge(1, 0, 1.0, 0.04), Edge(2, 1, 0.8, 0.02), Edge(0, 2, 1.2, 0.07),

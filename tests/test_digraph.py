@@ -259,6 +259,22 @@ def test_load_graph_rejects_malformed(tmp_path):
     with pytest.raises(GraphFormatError):
         load_graph(path)
 
+    # Bools, fractional ids and strings are rejected, not coerced.
+    good = {"dst": 1, "src": 0, "gain": 1.0, "delay_s": 0.0}
+    for n, field, value in [
+        (True, None, None),
+        (2.0, None, None),
+        (2, "dst", 1.7),
+        (2, "dst", True),
+        (2, "src", "0"),
+        (2, "gain", "1.0"),
+        (2, "delay_s", None),
+    ]:
+        edge = dict(good) if field is None else {**good, field: value}
+        path.write_text(json.dumps({"n": n, "edges": [edge]}))
+        with pytest.raises(GraphFormatError):
+            load_graph(path)
+
 
 def test_report_json_dict_shape():
     g = Digraph(2, (Edge(1, 0, 1.0, 0.0),))

@@ -84,12 +84,13 @@ def test_hearing_threshold_gates_edges():
     pos = place_nodes(cfg)
     full = build_channel(cfg, pos).gain_matrix()
     thr = float(np.median(full[full > 0]))
-    gated = build_channel(
-
+    graph = build_channel(
         RadioConfig(n=20, fading=Fading.RAYLEIGH, hear_threshold=thr, seed=5), pos
-    ).gain_matrix()
+    )
     expect = np.where(full >= thr, full, 0.0)
-    assert np.array_equal(gated, expect)
+    assert np.array_equal(graph.gain_matrix(), expect)
+    # Edges come out in row-major (dst, src) order.
+    assert np.all(np.diff(graph.dst * 20 + graph.src) > 0)
 
 
 # === Rayleigh fading statistics ===
