@@ -15,6 +15,8 @@ over config values.  Outputs depend only on inputs and seeds: rerunning a
 command with the same config produces byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Argument values the library rejects with ``ValueError`` (a horizon too
+short to detect consensus, say) are usage errors.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ from .digraph import (
     load_graph,
 )
 from .dynamics import (
-    DEFAULT_WINDOW,
     InitialCondition,
     NodeParams,
     SimConfig,
@@ -187,18 +188,6 @@ def _integer(value: int, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _positive_int(value: int, name: str) -> int:
-    return _integer(value, name, 1)
-
-
-def _detect_horizon(value: int) -> int:
-    """A horizon long enough for ``detect_consensus``'s terminal window."""
-    horizon = _positive_int(value, "--horizon")
-    if horizon <= DEFAULT_WINDOW:
-        raise UsageError(f"--horizon must exceed the {DEFAULT_WINDOW}-step detection window")
-    return horizon
-
-
 def _seed(args: argparse.Namespace, config: dict) -> int:
     return _integer(_resolve(args, config, "seed", 0), "--seed", 0)
 
@@ -243,7 +232,7 @@ def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     seed = _seed(args, config)
     params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
-    horizon = _positive_int(_resolve(args, config, "horizon", None), "--horizon")
+    horizon = _integer(_resolve(args, config, "horizon", None), "--horizon", 1)
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
     init = _build_init(_resolve(args, config, "init", "zero"), graph, step_s, seed)
     out = _resolve(args, config, "out", None)
@@ -260,23 +249,18 @@ def _cmd_debias(args: argparse.Namespace, config: dict) -> int:
     seed = _seed(args, config)
     params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
-    horizon = _positive_int(_resolve(args, config, "horizon", 6000), "--horizon")
+    horizon = _integer(_resolve(args, config, "horizon", 6000), "--horizon", 1)
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
     mode_text = str(_resolve(args, config, "mode_choice", "simulated")).lower()
     if mode_text not in ("simulated", "analytic"):
         raise UsageError(f"--mode must be simulated or analytic, got {mode_text!r}")
     mode = DebiasMode.SIMULATED if mode_text == "simulated" else DebiasMode.ANALYTIC
-    if mode is DebiasMode.SIMULATED:
-        horizon = _detect_horizon(horizon)
     cfg = SimConfig(coupling=coupling, step_s=step_s, horizon=horizon)
     result = debias_two_step(graph, params, cfg, mode)
     doc = result.to_json_dict()
     decision_text = _resolve(args, config, "decision", None)
     if decision_text is not None:
-        try:
-            rule = DecisionRule.parse(str(decision_text))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        rule = DecisionRule.parse(str(decision_text))
         doc["decision"] = apply_decision(rule, result.estimate).value
     _emit_json(doc, _resolve(args, config, "out", None))
     return EXIT_OK
@@ -295,7 +279,7 @@ def _cmd_study(args: argparse.Namespace, config: dict) -> int:
 
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
-    horizon = _detect_horizon(_resolve(args, config, "horizon", 10000))
+    horizon = _integer(_resolve(args, config, "horizon", 10000), "--horizon", 1)
     lag_steps = _integer(_resolve(args, config, "lag_steps", 50), "--lag-steps", 0)
     outdir = _resolve(args, config, "outdir", None)
     if outdir is None:
@@ -331,11 +315,11 @@ def _cmd_mc_estimate(args: argparse.Namespace, config: dict) -> int:
         raise UsageError("mc-estimate requires an output CSV path (--out)")
     try:
         cfg = EstimationConfig(
-            nodes=_positive_int(_resolve(args, config, "nodes", 40), "--nodes"),
-            runs=_positive_int(_resolve(args, config, "mc_runs", 100), "--runs"),
+            nodes=_integer(_resolve(args, config, "nodes", 40), "--nodes", 1),
+            runs=_integer(_resolve(args, config, "mc_runs", 100), "--runs", 1),
             coupling=_positive(_resolve(args, config, "coupling", 1.0), "--coupling"),
             step_s=_positive(_resolve(args, config, "ts", 1e-3), "--ts"),
-            horizon=_positive_int(_resolve(args, config, "horizon", 3000), "--horizon"),
+            horizon=_integer(_resolve(args, config, "horizon", 3000), "--horizon", 1),
             delay_span_steps=_integer(
                 _resolve(args, config, "delay_span_steps", 100), "--delay-span-steps", 0
             ),
@@ -345,11 +329,11 @@ def _cmd_mc_estimate(args: argparse.Namespace, config: dict) -> int:
             noise_var=float(_resolve(args, config, "noise_var", 1.0)),
             truth=float(_resolve(args, config, "truth", 1.0)),
             seed=_seed(args, config),
-            max_attempts=_positive_int(
-                _resolve(args, config, "max_attempts", 64), "--max-attempts"
+            max_attempts=_integer(
+                _resolve(args, config, "max_attempts", 64), "--max-attempts", 1
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a null or list config value given to float()
         raise UsageError(str(exc)) from exc
     summary = run_estimation_study(cfg)
     summary.write_csv(out)
@@ -460,12 +444,12 @@ def main(argv: "list[str] | None" = None) -> int:
         config = _load_config(args.config)
         _check_mode(config, args.command)
         return args.handler(args, config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, GraphFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

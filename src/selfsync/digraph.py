@@ -43,9 +43,8 @@ __all__ = [
 # infinity norm of the Laplacian.
 NULL_RESIDUAL_RTOL = 1e-10
 
-# Edge columns, in ``Edge`` field order, and the JSON value types each
-# accepts in the wire format (bools fail the exact type match).
-_COLUMNS = {"dst": (int,), "src": (int,), "gain": (int, float), "delay_s": (int, float)}
+# Edge columns, in ``Edge`` field order; the first two hold node ids.
+_COLUMNS = ("dst", "src", "gain", "delay_s")
 
 
 class GraphFormatError(ValueError):
@@ -66,16 +65,23 @@ class Edge(NamedTuple):
 
 
 def _column(values, name: str, integral: bool) -> np.ndarray:
-    """One edge column as an array: integer ids, or real numbers."""
+    """One edge column as an array: integer ids, or real numbers.
+
+    Bools, strings and other non-numbers are rejected rather than cast,
+    including bools mixed into a list of numbers (numpy would read
+    ``[0, True]`` as integers).
+    """
     try:
-        arr = np.asarray(values, dtype=None if integral else float)
-    except (TypeError, ValueError) as exc:
-        raise GraphFormatError(f"{name} values must be real numbers") from exc
-    if not integral:
-        return arr
-    if arr.size and arr.dtype.kind not in "iu":
-        raise GraphFormatError(f"{name} ids must be integers, got {arr.dtype} values")
-    return arr.astype(np.int64)
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise GraphFormatError(f"{name} values must be a flat sequence") from exc
+    kinds = "iu" if integral else "iuf"
+    listed = arr.ndim > 0 and not isinstance(values, np.ndarray)
+    has_bools = listed and bool({bool, np.bool_} & set(map(type, values)))
+    if arr.size and (arr.dtype.kind not in kinds or has_bools):
+        what = "integer ids" if integral else "real numbers"
+        raise GraphFormatError(f"{name} values must be {what}, got {arr.dtype} values")
+    return arr.astype(np.int64 if integral else float)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -111,8 +117,7 @@ class Digraph:
     def _assign(self, n, *columns) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise GraphFormatError(f"node count must be a positive integer, got {n!r}")
-        cols = [_column(c, name, types == (int,))
-                for c, (name, types) in zip(columns, _COLUMNS.items())]
+        cols = [_column(c, name, k < 2) for k, (c, name) in enumerate(zip(columns, _COLUMNS))]
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise GraphFormatError("dst, src, gain and delay_s must be 1-d and equally long")
         dst, src, gain, delay_s = cols
@@ -348,37 +353,50 @@ def classify(g: Digraph) -> ConnectivityReport:
     )
 
 
+def _pinned_solve(block: np.ndarray, pin: int) -> np.ndarray:
+    """Solve ``block.T @ x = 0`` with coordinate ``pin`` fixed to 1."""
+    system = block.T.copy()
+    system[pin, :] = 0.0
+    system[pin, pin] = 1.0
+    rhs = np.zeros(block.shape[0])
+    rhs[pin] = 1.0
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NullSpaceError("root component null space is rank deficient") from exc
+
+
 def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
     """Positive left null vector of one root component's Laplacian block.
 
     A strongly connected block has a one-dimensional left null space
-    spanned by a positive vector, so pinning its first coordinate to 1
-    and solving the remaining equations of ``block.T @ x = 0`` is a
-    nonsingular system.  Raises :class:`NullSpaceError` when the solution
-    is not strictly positive or leaves a residual above tolerance (a
-    malformed gain matrix).
+    spanned by a positive vector, so pinning any one coordinate to 1 and
+    solving the remaining equations of ``block.T @ x = 0`` is a
+    nonsingular system.  The first solve pins node 0; when another node
+    carries more influence, a second solve pins that node, so the small
+    entries keep their relative accuracy however widely influence varies.
+    The solution is scaled to unit 2-norm before its residual is checked.
+    Raises :class:`NullSpaceError` when the solution is not strictly
+    positive or leaves a residual above tolerance (a malformed gain
+    matrix).
     """
     k = block.shape[0]
     if k == 1:
         return np.ones(1)
-    system = block.T.copy()
-    system[0, :] = 0.0
-    system[0, 0] = 1.0
-    rhs = np.zeros(k)
-    rhs[0] = 1.0
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NullSpaceError("root component null space is rank deficient") from exc
+    x = _pinned_solve(block, 0)
+    top = int(np.argmax(x))
+    if top != 0:
+        x = _pinned_solve(block, top)
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
         raise NullSpaceError("root component null vector is not strictly positive")
+    x = x / np.linalg.norm(x)
     resid = float(np.max(np.abs(x @ block)))
     block_scale = float(np.max(np.abs(block).sum(axis=1)))
     if resid > NULL_RESIDUAL_RTOL * block_scale:
         raise NullSpaceError(
             f"null vector residual {resid:.3e} exceeds {NULL_RESIDUAL_RTOL:.0e} * {block_scale:.3e}"
         )
-    return x / np.linalg.norm(x)
+    return x
 
 
 def left_null_vector(g: Digraph, report: ConnectivityReport | None = None) -> np.ndarray:
@@ -421,21 +439,16 @@ def load_graph(path: "str | Path") -> Digraph:
         raise GraphFormatError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError('graph JSON must be an object with "n" and "edges"')
-    n, raw_edges = doc["n"], doc["edges"]
-    if type(n) is not int:
-        raise GraphFormatError(f'"n" must be an integer, got {n!r}')
+    raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list')
     cols = {}
-    for key, types in _COLUMNS.items():
+    for key in _COLUMNS:
         try:
             cols[key] = [item[key] for item in raw_edges]
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"an edge entry lacks {key!r}: {exc!r}") from exc
-        bad = [v for v in cols[key] if type(v) not in types]
-        if bad:
-            raise GraphFormatError(f"edge field {key!r} got {bad[0]!r}")
-    return Digraph.from_arrays(n, **cols)
+    return Digraph.from_arrays(doc["n"], **cols)
 
 
 def save_graph(g: Digraph, path: "str | Path") -> None:

@@ -317,6 +317,8 @@ def test_missing_graph_flag(capsys):
     (["predict", "--graph", "{graph}", "--params", "{params}"], {"seed": "x"}),
     (["mc-estimate", "--out", "{tmp}/mc.csv"], {"seed": -1}),
     (["predict", "--graph", "{graph}", "--params", "{params}"], {"coupling": "abc"}),
+    (["debias", "--graph", "{graph}", "--params", "{params}", "--mode", "analytic",
+      "--decision", "bogus"], None),
 ])
 def test_bad_values_are_usage_errors(chain_files, tmp_path, capsys, argv, config):
     graph, params = chain_files

@@ -169,6 +169,18 @@ def test_influence_two_node_asymmetric():
     assert np.allclose(gamma, expected, rtol=0, atol=1e-12)
 
 
+def test_influence_on_biased_chain_spanning_eleven_decades():
+    # Node i hears i+1 with gain 1 and i-1 with gain 0.1, so influence
+    # grows tenfold per hop and node 0 has the least: gamma_i ∝ 10**i.
+    n = 12
+    g = Digraph(n, [Edge(i, i + 1, 1.0, 0.0) for i in range(n - 1)]
+                + [Edge(i + 1, i, 0.1, 0.0) for i in range(n - 1)])
+    gamma = classify(g).influence
+    lap = laplacian(g)
+    assert np.max(np.abs(gamma @ lap)) <= 1e-10 * np.max(np.abs(lap).sum(axis=1))
+    assert np.allclose(gamma[1:] / gamma[:-1], 10.0, rtol=1e-12, atol=0)
+
+
 def test_influence_residual_random():
     rng = np.random.default_rng(7)
     for _ in range(300):

@@ -84,19 +84,33 @@ def test_both_constructors_reject_the_same_inputs(g, fault, bad, data):
     assert by_records == by_arrays == (fault != "none")
 
 
-@pytest.mark.parametrize("column, bad", [(0, [0.5]), (1, [True]), (2, ["x"]), (3, [[0.0]])])
+@pytest.mark.parametrize("column, bad", [
+    (0, [0.5, 1]), (1, [True, True]), (1, [False, 0]), (0, [np.True_, 1]), (2, ["x", 1.0]),
+    (2, ["1.0", "2.0"]), (3, [0.0, True]), (3, [None, 0.0]), (3, [[0.0], [0.0]]),
+])
 def test_both_constructors_reject_mistyped_columns(column, bad):
-    cols = [[1], [0], [1.0], [0.0]]
+    cols = [[1, 2], [0, 0], [1.0, 1.0], [0.0, 0.0]]
     cols[column] = bad
     with pytest.raises(GraphFormatError):
-        Digraph.from_arrays(2, *cols)
+        Digraph.from_arrays(3, *cols)
     with pytest.raises(GraphFormatError):
-        Digraph(2, [Edge(*(c[0] for c in cols))])
+        Digraph(3, [Edge(*row) for row in zip(*cols)])
     for n in (0, True, 2.0):
         with pytest.raises(GraphFormatError):
             Digraph(n, ())
         with pytest.raises(GraphFormatError):
             Digraph.from_arrays(n, [], [], [], [])
+
+
+@pytest.mark.parametrize("column, bad", [
+    (0, np.array([0.0, 1.0])), (1, np.array([True, False])), (2, np.array(["1.0", "2.0"])),
+    (3, np.array([False, False])), (3, np.array([0.0, None])),
+])
+def test_from_arrays_rejects_mistyped_array_columns(column, bad):
+    cols = [np.array([1, 2]), np.array([0, 0]), np.ones(2), np.zeros(2)]
+    cols[column] = bad
+    with pytest.raises(GraphFormatError):
+        Digraph.from_arrays(3, *cols)
 
 
 def _node_data(n, seed):
