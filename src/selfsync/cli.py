@@ -16,13 +16,15 @@ command with the same config produces byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Argument values the library rejects with ``ValueError`` (a horizon too
-short to detect consensus, say) are usage errors.
+short to detect consensus, say), config paths and words that are not
+strings, and output paths that cannot be written are usage errors.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,23 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
+def _text(args: argparse.Namespace, config: dict, key: str, default=None) -> "str | None":
+    """A path or word from the flags or the config; config values must be strings."""
+    value = _resolve(args, config, key, default)
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+@contextmanager
+def _writing(path):
+    """Report a failure to write an output ``path`` as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _check_mode(config: dict, command: str) -> None:
     mode = config.get("mode")
     if mode is not None and mode != command.upper().replace("-", "_"):
@@ -168,7 +187,8 @@ def _emit_json(doc: dict, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
 
 
 def _is_number(value) -> bool:
@@ -208,68 +228,69 @@ def _build_init(text: str, graph: Digraph, step_s: float, seed: int) -> InitialC
 
 
 def _cmd_analyze(args: argparse.Namespace, config: dict) -> int:
-    graph = _load_graph_file(_resolve(args, config, "graph", None))
+    graph = _load_graph_file(_text(args, config, "graph"))
     report = classify(graph)
-    _emit_json(report.to_json_dict(), _resolve(args, config, "out", None))
+    _emit_json(report.to_json_dict(), _text(args, config, "out"))
     return EXIT_OK
 
 
 def _cmd_predict(args: argparse.Namespace, config: dict) -> int:
-    graph = _load_graph_file(_resolve(args, config, "graph", None))
+    graph = _load_graph_file(_text(args, config, "graph"))
     seed = _seed(args, config)
-    params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
+    params = _load_params_file(_text(args, config, "params"), graph.n, seed)
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
     quantize_step = _resolve(args, config, "quantize_step", None)
     if quantize_step is not None:
         quantize_step = _positive(quantize_step, "--quantize-step")
     prediction = predict(graph, params, coupling, quantize_step=quantize_step)
-    _emit_json(prediction.to_json_dict(), _resolve(args, config, "out", None))
+    _emit_json(prediction.to_json_dict(), _text(args, config, "out"))
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
-    graph = _load_graph_file(_resolve(args, config, "graph", None))
+    graph = _load_graph_file(_text(args, config, "graph"))
     seed = _seed(args, config)
-    params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
+    params = _load_params_file(_text(args, config, "params"), graph.n, seed)
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
     horizon = _integer(_resolve(args, config, "horizon", None), "--horizon", 1)
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
-    init = _build_init(_resolve(args, config, "init", "zero"), graph, step_s, seed)
-    out = _resolve(args, config, "out", None)
+    init = _build_init(_text(args, config, "init", "zero"), graph, step_s, seed)
+    out = _text(args, config, "out")
     if out is None:
         raise UsageError("simulate requires an output CSV path (--out)")
     cfg = SimConfig(coupling=coupling, step_s=step_s, horizon=horizon, init=init)
     traj = simulate(graph, params, cfg)
-    traj.write_csv(out)
+    with _writing(out):
+        traj.write_csv(out)
     return EXIT_OK
 
 
 def _cmd_debias(args: argparse.Namespace, config: dict) -> int:
-    graph = _load_graph_file(_resolve(args, config, "graph", None))
+    graph = _load_graph_file(_text(args, config, "graph"))
     seed = _seed(args, config)
-    params = _load_params_file(_resolve(args, config, "params", None), graph.n, seed)
+    params = _load_params_file(_text(args, config, "params"), graph.n, seed)
     step_s = _positive(_resolve(args, config, "ts", 1e-3), "--ts")
     horizon = _integer(_resolve(args, config, "horizon", 6000), "--horizon", 1)
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
-    mode_text = str(_resolve(args, config, "mode_choice", "simulated")).lower()
+    mode_text = _text(args, config, "mode_choice", "simulated").lower()
     if mode_text not in ("simulated", "analytic"):
         raise UsageError(f"--mode must be simulated or analytic, got {mode_text!r}")
     mode = DebiasMode.SIMULATED if mode_text == "simulated" else DebiasMode.ANALYTIC
     cfg = SimConfig(coupling=coupling, step_s=step_s, horizon=horizon)
     result = debias_two_step(graph, params, cfg, mode)
     doc = result.to_json_dict()
-    decision_text = _resolve(args, config, "decision", None)
+    decision_text = _text(args, config, "decision")
     if decision_text is not None:
-        rule = DecisionRule.parse(str(decision_text))
+        rule = DecisionRule.parse(decision_text)
         doc["decision"] = apply_decision(rule, result.estimate).value
-    _emit_json(doc, _resolve(args, config, "out", None))
+    _emit_json(doc, _text(args, config, "out"))
     return EXIT_OK
 
 
 def _cmd_study(args: argparse.Namespace, config: dict) -> int:
-    preset = _resolve(args, config, "preset", None)
-    graph_path = _resolve(args, config, "graph", None)
-    params_path = _resolve(args, config, "params", None)
+    preset = _text(args, config, "preset")
+    graph_path = _text(args, config, "graph")
+    params_path = _text(args, config, "params")
     if preset is not None and graph_path is not None:
         raise UsageError("give either --preset or --graph/--params, not both")
     if preset is None and graph_path is None:
@@ -281,7 +302,7 @@ def _cmd_study(args: argparse.Namespace, config: dict) -> int:
     coupling = _positive(_resolve(args, config, "coupling", 30.0), "--coupling")
     horizon = _integer(_resolve(args, config, "horizon", 10000), "--horizon", 1)
     lag_steps = _integer(_resolve(args, config, "lag_steps", 50), "--lag-steps", 0)
-    outdir = _resolve(args, config, "outdir", None)
+    outdir = _text(args, config, "outdir")
     if outdir is None:
         raise UsageError("study requires an output directory (--outdir)")
 
@@ -301,16 +322,17 @@ def _cmd_study(args: argparse.Namespace, config: dict) -> int:
         horizon=horizon,
     )
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.trajectory.write_csv(out / "trajectory.csv")
-    Path(out / "prediction.json").write_text(
-        json.dumps(result.report_json_dict(), indent=2) + "\n"
-    )
+    with _writing(outdir):
+        out.mkdir(parents=True, exist_ok=True)
+        result.trajectory.write_csv(out / "trajectory.csv")
+        Path(out / "prediction.json").write_text(
+            json.dumps(result.report_json_dict(), indent=2) + "\n"
+        )
     return EXIT_OK
 
 
 def _cmd_mc_estimate(args: argparse.Namespace, config: dict) -> int:
-    out = _resolve(args, config, "out", None)
+    out = _text(args, config, "out")
     if out is None:
         raise UsageError("mc-estimate requires an output CSV path (--out)")
     try:
@@ -336,7 +358,8 @@ def _cmd_mc_estimate(args: argparse.Namespace, config: dict) -> int:
     except TypeError as exc:  # a null or list config value given to float()
         raise UsageError(str(exc)) from exc
     summary = run_estimation_study(cfg)
-    summary.write_csv(out)
+    with _writing(out):
+        summary.write_csv(out)
     sys.stdout.write(json.dumps(summary.summary_dict(), indent=2) + "\n")
     return EXIT_OK
 

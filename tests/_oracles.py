@@ -70,3 +70,33 @@ def graph_from_adj(
                 delay = 0.0 if delays is None else float(delays[dst, src])
                 edges.append(Edge(dst, src, gain, delay))
     return Digraph(n, tuple(edges))
+
+
+def euler_reference(g: Digraph, weights, stats, coupling: float, step_s: float,
+                    horizon: int, history: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Explicit Euler by plain loops: ``(states, derivs)``, each ``(horizon, n)``.
+
+    Delays become dense integer lags (round half to even); ``history``
+    supplies states at steps ``-m_max .. 0`` from its trailing rows.  Each
+    node's coupling sum adds its links' pulls in edge order, starting from
+    0.0, so the arithmetic is the simulator's, operation for operation.
+    """
+    n = g.n
+    lags = [[round(d / step_s) for d in row] for row in g.delay_matrix().tolist()]
+    m_max = max(max(row) for row in lags)
+    x = [list(row) for row in np.asarray(history, dtype=float)[-(m_max + 1):].tolist()]
+    rate = [coupling / c for c in np.asarray(weights, dtype=float).tolist()]
+    stats = np.asarray(stats, dtype=float).tolist()
+    edges = list(zip(g.dst.tolist(), g.src.tolist(), g.gain.tolist()))
+    states, derivs = [], []
+    for k in range(horizon):
+        row = m_max + k
+        now = x[row]
+        agg = [0.0] * n
+        for dst, src, gain in edges:
+            agg[dst] += gain * (x[row - lags[dst][src]][src] - now[dst])
+        xdot = [stats[i] + rate[i] * agg[i] for i in range(n)]
+        states.append(now)
+        derivs.append(xdot)
+        x.append([now[i] + step_s * xdot[i] for i in range(n)])
+    return np.array(states), np.array(derivs)

@@ -319,6 +319,17 @@ def test_missing_graph_flag(capsys):
     (["predict", "--graph", "{graph}", "--params", "{params}"], {"coupling": "abc"}),
     (["debias", "--graph", "{graph}", "--params", "{params}", "--mode", "analytic",
       "--decision", "bogus"], None),
+    (["analyze"], {"graph": 5}),
+    (["predict", "--graph", "{graph}"], {"params": [1]}),
+    (["simulate", "--graph", "{graph}", "--params", "{params}", "--horizon", 10,
+      "--out", "{tmp}/t.csv"], {"init": 5}),
+    (["study", "--preset", "chain", "--horizon", 300], {"outdir": 5}),
+    (["analyze", "--graph", "{graph}", "--out", "{tmp}/missing/report.json"], None),
+    (["simulate", "--graph", "{graph}", "--params", "{params}", "--horizon", 10,
+      "--out", "{tmp}/missing/t.csv"], None),
+    (["study", "--preset", "chain", "--horizon", 300, "--outdir", "{graph}/study"], None),
+    (["mc-estimate", "--nodes", 4, "--runs", 1, "--horizon", 10,
+      "--out", "{tmp}/missing/mc.csv"], None),
 ])
 def test_bad_values_are_usage_errors(chain_files, tmp_path, capsys, argv, config):
     graph, params = chain_files

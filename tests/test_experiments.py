@@ -146,6 +146,43 @@ def test_estimation_study_deterministic():
         assert np.array_equal(getattr(s1, attr), getattr(s2, attr))
 
 
+def test_estimation_study_equals_three_separate_simulations():
+    # The study simulates each run's three networks as one disjoint union;
+    # rebuild every run here with three separate simulate calls instead.
+    from selfsync import (
+        Fading, NodeParams, RadioConfig, SimConfig, centralized_ml, ensure_connectivity,
+        ml_setup, simulate,
+    )
+    from selfsync.experiments import _NOISE_TAG, _RUN_TAG, _run_seed
+
+    cfg = EstimationConfig(nodes=6, runs=2, horizon=300, seed=5)
+    summary = run_estimation_study(cfg)
+
+    sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=cfg.horizon)
+    amps = np.full(cfg.nodes, cfg.amplitude)
+    variances = np.full(cfg.nodes, cfg.noise_var)
+    curves = {key: np.empty((cfg.runs, cfg.horizon)) for key in "abcd"}
+    for run in range(cfg.runs):
+        radio = RadioConfig(
+            n=cfg.nodes, area_side=1.0, tx_power=cfg.tx_power,
+            hear_threshold=cfg.hear_threshold, fading=Fading.RAYLEIGH,
+            delay_span_s=cfg.delay_span_steps * cfg.step_s,
+            seed=_run_seed(cfg.seed, _RUN_TAG, run),
+        )
+        g = ensure_connectivity(radio, "SC", max_attempts=cfg.max_attempts).graph
+        noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_TAG, run]))
+        obs = amps * cfg.truth + noise.normal(0.0, np.sqrt(variances))
+        params = ml_setup(amps, variances, obs)
+        reference = NodeParams(weights=params.weights, stats=np.ones(cfg.nodes))
+        curves["a"][run] = centralized_ml(amps, variances, obs)[0]
+        curves["b"][run] = simulate(g.with_delays(0.0), params, sim_cfg).derivs.mean(axis=1)
+        curves["c"][run] = simulate(g, params, sim_cfg).derivs.mean(axis=1)
+        curves["d"][run] = curves["c"][run] / simulate(g, reference, sim_cfg).derivs.mean(axis=1)
+    for key, mat in curves.items():
+        assert np.array_equal(getattr(summary, f"mean_{key}"), mat.mean(axis=0))
+        assert np.array_equal(getattr(summary, f"finals_{key}"), mat[:, -1])
+
+
 def test_estimation_study_zero_delay_collapses_curves():
     cfg = EstimationConfig(nodes=6, runs=3, horizon=400, delay_span_steps=0, seed=7)
     summary = run_estimation_study(cfg)

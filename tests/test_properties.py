@@ -24,7 +24,7 @@ from selfsync import (
     simulate,
 )
 
-from _oracles import brute_root_union
+from _oracles import brute_root_union, euler_reference
 
 props = settings(deadline=None, max_examples=60)
 
@@ -142,6 +142,24 @@ def test_disjoint_union_simulates_like_separate_runs(g1, g2, seed):
         alone = run(g, part)
         assert np.array_equal(whole.states[:, part], alone.states)
         assert np.array_equal(whole.derivs[:, part], alone.derivs)
+
+
+@props
+@given(graphs(min_edges=2), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_simulate_equals_plain_euler_oracle_bitwise(g, m_max, seed, data):
+    step_s, horizon = 1e-3, 40
+    lags = data.draw(st.lists(st.integers(0, m_max), min_size=g.dst.size, max_size=g.dst.size))
+    lags[0], lags[1] = 0, m_max
+    g = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, np.array(lags) * step_s)
+    weights, stats, _ = _node_data(g.n, seed)
+    history = np.random.default_rng(seed).normal(0.0, 1.0, (m_max + 3, g.n))
+    cfg = SimConfig(2.0, step_s, horizon, InitialCondition.samples(history))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = simulate(g, NodeParams(weights=weights, stats=stats), cfg)
+    states, derivs = euler_reference(g, weights, stats, 2.0, step_s, horizon, history)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
 
 
 @props
