@@ -82,18 +82,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path: "str | None") -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in ``what`` file ``path``; any failure is a data error."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
+        raise DataError(f"{what} file {path} must hold a JSON object")
     return doc
+
+
+def _load_config(path: "str | None") -> dict:
+    return {} if path is None else _read_json(path, "config")
 
 
 def _resolve(args: argparse.Namespace, config: dict, key: str, default):
@@ -133,8 +136,8 @@ def _load_graph_file(path: "str | None") -> Digraph:
         raise UsageError("a graph file is required (--graph)")
     try:
         return load_graph(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"graph file not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read graph file {path}: {exc.strerror or exc}") from exc
     except GraphFormatError as exc:
         raise DataError(f"graph file {path}: {exc}") from exc
 
@@ -149,14 +152,7 @@ def _load_params_file(path: "str | None", n: int, seed: int) -> NodeParams:
     """
     if path is None:
         raise UsageError("a parameter file is required (--params)")
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"params file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"params file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"params file {path} must hold a JSON object")
+    doc = _read_json(path, "params")
     try:
         if "u" in doc or "c" in doc:
             params = NodeParams(

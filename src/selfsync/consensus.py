@@ -135,7 +135,6 @@ def predict(
     coupling: float,
     *,
     quantize_step: "float | None" = None,
-    report: "ConnectivityReport | None" = None,
 ) -> ConsensusPrediction:
     """Predict terminal derivative values per root-component cluster.
 
@@ -149,13 +148,12 @@ def predict(
         raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
     if not np.isfinite(coupling) or coupling < 0:
         raise ValueError("coupling must be finite and nonnegative")
-    if report is None:
-        report = classify(g)
+    report = classify(g)
 
     if quantize_step is None:
         delays = g.delay_s
     else:
-        delays = quantize_delays(g, quantize_step).lags[g.dst, g.src] * quantize_step
+        delays = quantize_delays(g, quantize_step).lags * quantize_step
     delay_load = np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
 
     gamma = report.influence
@@ -240,9 +238,8 @@ def debias_two_step(
         omega_stat = _global_rate(simulate(g, params, cfg), "statistic run")
         omega_ref = _global_rate(simulate(g, ones, cfg), "all-ones run")
     else:
-        report = classify(g)
-        pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s, report=report)
-        pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s, report=report)
+        pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s)
+        pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s)
         if pred_stat.global_omega is None:
             raise DebiasError("two-step debias needs a single root component")
         omega_stat = pred_stat.global_omega

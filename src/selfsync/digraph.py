@@ -192,7 +192,8 @@ class ConnectivityReport:
     ``(a, b)`` meaning information flows from component ``a`` to ``b``.
     ``root_sccs`` indexes the components receiving no outside influence.
     ``influence`` is the nonnegative left null vector of the Laplacian,
-    supported exactly on root components, each root block unit 2-norm.
+    supported exactly on root components, each root block unit 2-norm;
+    it is read-only, since :func:`classify` shares one report per graph.
     """
 
     kind: ConnectivityClass
@@ -318,7 +319,12 @@ def classify(g: Digraph) -> ConnectivityReport:
     WC_NOT_QSC when the graph is connected ignoring direction but has
     several root components; DISCONNECTED otherwise.  A graph is balanced
     when every node's received gain sum equals its transmitted gain sum.
+    The graph is immutable, so the report is computed once, stored on it
+    and shared (with a read-only ``influence``) by every later call.
     """
+    cached = getattr(g, "_report", None)
+    if cached is not None:
+        return cached
     sccs, condensation = scc_decompose(g)
     heard_from_outside = {b for (_a, b) in condensation}
     root_sccs = tuple(i for i in range(len(sccs)) if i not in heard_from_outside)
@@ -343,7 +349,8 @@ def classify(g: Digraph) -> ConnectivityReport:
     for ri in root_sccs:
         nodes = np.asarray(sccs[ri], dtype=int)
         influence[nodes] = _root_block_null_vector(lap[np.ix_(nodes, nodes)])
-    return ConnectivityReport(
+    influence.flags.writeable = False
+    report = ConnectivityReport(
         kind=kind,
         sccs=sccs,
         condensation=condensation,
@@ -351,6 +358,8 @@ def classify(g: Digraph) -> ConnectivityReport:
         balanced=balanced,
         influence=influence,
     )
+    object.__setattr__(g, "_report", report)
+    return report
 
 
 def _pinned_solve(block: np.ndarray, pin: int) -> np.ndarray:
@@ -399,17 +408,15 @@ def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
     return x
 
 
-def left_null_vector(g: Digraph, report: ConnectivityReport | None = None) -> np.ndarray:
-    """Nonnegative left null vector of the Laplacian.
+def left_null_vector(g: Digraph) -> np.ndarray:
+    """Nonnegative left null vector of the Laplacian, as a writable copy.
 
     Entry ``i`` is positive exactly when node ``i`` belongs to a root
     component (no outside influence); each root block is normalized to
     unit 2-norm.  The assembled vector satisfies
     ``max|gamma @ L| <= 1e-10 * norm_inf(L)``.
     """
-    if report is None:
-        report = classify(g)
-    gamma = np.array(report.influence, copy=True)
+    gamma = classify(g).influence.copy()
     lap = laplacian(g)
     lap_norm = float(np.max(np.abs(lap).sum(axis=1)))
     resid = float(np.max(np.abs(gamma @ lap)))
@@ -432,10 +439,9 @@ def load_graph(path: "str | Path") -> Digraph:
     string or fractional id), or ids out of range raise
     :class:`GraphFormatError`.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError('graph JSON must be an object with "n" and "edges"')

@@ -153,15 +153,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class DelayQuantization:
-    """Integer step lags for every link; ``lags`` is 0 off-edge."""
+    """Integer step lag of every link, in the graph's edge order."""
 
     lags: np.ndarray
     m_max: int
     step_s: float
-
-    def delay_matrix(self) -> np.ndarray:
-        """Quantized delays in seconds, ``lags * step_s``."""
-        return self.lags * self.step_s
 
 
 def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
@@ -173,10 +169,8 @@ def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
     """
     if step_s <= 0 or not np.isfinite(step_s):
         raise ValueError("step_s must be finite and positive")
-    lags = np.zeros((g.n, g.n), dtype=np.int64)
-    lags[g.dst, g.src] = np.rint(g.delay_s / step_s)
-    m_max = int(lags.max())
-    return DelayQuantization(lags=lags, m_max=m_max, step_s=step_s)
+    lags = np.rint(g.delay_s / step_s).astype(np.int64)
+    return DelayQuantization(lags=lags, m_max=int(lags.max(initial=0)), step_s=step_s)
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,7 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
 
     dsts, gains = g.dst, g.gain
     # At step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
-    taps = (m_max - quant.lags[dsts, g.src]) * n + g.src
+    taps = (m_max - quant.lags) * n + g.src
 
     rate = cfg.coupling / params.weights
     inflow = np.bincount(dsts, weights=gains, minlength=n)

@@ -282,6 +282,24 @@ def test_malformed_graph_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["directory", "binary"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--graph", "{bad}"],
+    ["analyze", "--graph", "{graph}", "--config", "{bad}"],
+    ["predict", "--graph", "{graph}", "--params", "{bad}"],
+])
+def test_unreadable_input_files_are_data_errors(chain_files, tmp_path, capsys, argv, bad):
+    graph, _ = chain_files
+    path = tmp_path
+    if bad == "binary":
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+    code, _, err = run_cli([a.format(graph=graph, bad=path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
 def test_params_length_mismatch(chain_files, tmp_path, capsys):
     graph, _ = chain_files
     params = tmp_path / "p3.json"

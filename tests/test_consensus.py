@@ -4,8 +4,6 @@ The prediction oracle here computes the influence vector independently via
 an SVD null space of the Laplacian transpose (restricted per root
 component), so agreement is between two different algorithms.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -121,19 +119,6 @@ def test_predict_balanced_cycle_equals_uniform_gamma_form():
         assert got == pytest.approx(direct, rel=1e-12)
 
 
-def test_predict_invariant_to_influence_scaling():
-    g = Digraph(3, (
-        Edge(1, 0, 1.0, 0.02), Edge(0, 1, 0.7, 0.05), Edge(2, 1, 1.3, 0.01),
-    ))
-    params = NodeParams(weights=[1.0, 2.0, 3.0], stats=[1.0, -2.0, 0.5])
-    rep = classify(g)
-    scaled = dataclasses.replace(rep, influence=rep.influence * 7.3)
-    base = predict(g, params, 30.0, report=rep).global_omega
-    assert predict(g, params, 30.0, report=scaled).global_omega == pytest.approx(
-        base, rel=1e-14
-    )
-
-
 def test_predict_delay_monotone_bias():
     # All-positive statistics: growing delays inflate the denominator and
     # shrink the synchronized rate.
@@ -152,7 +137,8 @@ def test_predict_quantize_step_matches_prequantized_graph():
     g = Digraph(2, (Edge(0, 1, 1.0, 0.0314), Edge(1, 0, 1.0, 0.0718),))
     params = NodeParams(weights=[1.0, 2.0], stats=[1.0, 2.0])
     q = quantize_delays(g, 1e-3)
-    direct = predict(g.with_delays(q.delay_matrix()), params, 30.0).global_omega
+    prequantized = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, q.lags * 1e-3)
+    direct = predict(prequantized, params, 30.0).global_omega
     assert predict(g, params, 30.0, quantize_step=1e-3).global_omega == direct
 
 
@@ -203,20 +189,30 @@ def test_debias_recovers_weighted_mean_analytic():
         assert result.estimate == pytest.approx(target, rel=1e-12)
 
 
-def test_debias_analytic_classifies_once(monkeypatch):
-    from selfsync import consensus
+def test_one_scc_pass_per_generated_graph(monkeypatch):
+    from selfsync import digraph
+    from selfsync.netgen import Fading, RadioConfig, ensure_connectivity
 
     calls = []
+    scc_decompose = digraph.scc_decompose
 
-    def counting_classify(g):
+    def counting_scc(g):
         calls.append(g)
-        return classify(g)
+        return scc_decompose(g)
 
-    monkeypatch.setattr(consensus, "classify", counting_classify)
-    g = random_qsc_graph(np.random.default_rng(3), 6)
-    params = NodeParams(weights=np.ones(6), stats=np.arange(6.0))
+    monkeypatch.setattr(digraph, "scc_decompose", counting_scc)
+    radio = RadioConfig(n=12, fading=Fading.RAYLEIGH, hear_threshold=3.0,
+                        delay_span_s=0.02, seed=0)
+    net = ensure_connectivity(radio, "SC")
+    g = net.graph
+    params = NodeParams(weights=np.ones(g.n), stats=np.arange(float(g.n)))
+    report = classify(g)
+    predict(g, params, 30.0, quantize_step=1e-3)
     debias_two_step(g, params, SimConfig(30.0, 1e-3, 2), DebiasMode.ANALYTIC)
-    assert len(calls) == 1
+    left_null_vector(g)
+    assert net.attempts > 1
+    assert len(calls) == net.attempts
+    assert calls[-1] is g and classify(g) is report
 
 
 def test_debias_constant_statistic_returns_it():

@@ -228,14 +228,41 @@ def test_null_space_error_on_defective_block():
         _root_block_null_vector(np.zeros((2, 2)))
 
 
-def test_left_null_vector_rejects_tampered_report():
+def test_left_null_vector_rejects_tampered_report(monkeypatch):
     import dataclasses
 
+    from selfsync import digraph
+
     g = Digraph(2, (Edge(0, 1, 1.0, 0.0), Edge(1, 0, 1.0, 0.0)))
-    rep = classify(g)
-    bad = dataclasses.replace(rep, influence=np.array([1.0, 0.0]))
+    bad = dataclasses.replace(classify(g), influence=np.array([1.0, 0.0]))
+    monkeypatch.setattr(digraph, "classify", lambda _g: bad)
     with pytest.raises(NullSpaceError):
-        left_null_vector(g, report=bad)
+        left_null_vector(g)
+
+
+def test_classify_report_is_shared_and_read_only():
+    g = Digraph(3, (Edge(1, 0, 1.0, 0.0), Edge(0, 1, 2.0, 0.0), Edge(2, 1, 1.0, 0.0)))
+    report = classify(g)
+    assert classify(g) is report
+    with pytest.raises(ValueError):
+        report.influence[0] = 5.0
+    gamma = left_null_vector(g)
+    gamma[0] = 5.0
+    assert classify(g).influence[0] != 5.0
+
+
+def test_failed_classification_is_not_cached(monkeypatch):
+    from selfsync import digraph
+
+    def failing(block):
+        raise NullSpaceError("forced")
+
+    g = Digraph(2, (Edge(0, 1, 1.0, 0.0), Edge(1, 0, 1.0, 0.0)))
+    with monkeypatch.context() as patch:
+        patch.setattr(digraph, "_root_block_null_vector", failing)
+        with pytest.raises(NullSpaceError):
+            classify(g)
+    assert classify(g).kind is ConnectivityClass.SC
 
 
 # === JSON wire format ===

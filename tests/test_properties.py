@@ -1,10 +1,12 @@
-"""Property tests over random graphs: construction, validation, simulation, influence.
+"""Property tests over random graphs: construction, validation, simulation,
+influence, prediction and debias.
 
 Graphs are drawn by hypothesis as a node count and a set of distinct
 off-diagonal ``(dst, src)`` pairs with random gains and delays.  The
 influence-vector support is checked against the brute-force reachability
 oracle shared with the other test modules.
 """
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsync import (
+    DebiasMode,
     Digraph,
     Edge,
     GraphFormatError,
@@ -20,9 +23,12 @@ from selfsync import (
     NodeParams,
     SimConfig,
     classify,
+    debias_two_step,
     laplacian,
+    predict,
     simulate,
 )
+from selfsync import consensus
 
 from _oracles import brute_root_union, euler_reference
 
@@ -39,6 +45,17 @@ def graphs(draw, max_n=7, min_edges=0):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges)
                   if pairs else st.just([]))
     return Digraph(n, [Edge(d, s, draw(gains), draw(delays)) for d, s in chosen])
+
+
+@st.composite
+def rooted_graphs(draw, max_n=7):
+    """Graphs with one root component: each node i > 0 hears some node below i."""
+    n = draw(st.integers(1, max_n))
+    tree = {(i, draw(st.integers(0, i - 1))) for i in range(1, n)}
+    pairs = [(d, s) for d in range(n) for s in range(n) if d != s]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    links = sorted(tree | set(extra))
+    return Digraph(n, [Edge(d, s, draw(gains), draw(st.floats(0.0, 0.2))) for d, s in links])
 
 
 def _rejects(build) -> bool:
@@ -176,3 +193,37 @@ def test_influence_is_a_left_null_vector_on_the_roots(g, rnd):
         assert np.max(np.abs(gamma @ lap)) <= 1e-10 * scale
         assert np.all(gamma >= 0.0)
         assert set(np.flatnonzero(gamma > 0.0)) == brute_root_union(g.n, adj)
+
+
+@props
+@given(graphs(), st.integers(0, 2**32 - 1), st.data())
+def test_predict_keeps_cluster_rates_when_root_blocks_are_rescaled(g, seed, data):
+    report = classify(g)
+    influence = report.influence.copy()
+    for nodes in report.root_nodes():
+        influence[list(nodes)] *= data.draw(st.floats(0.01, 100.0))
+    scaled = dataclasses.replace(report, influence=influence)
+    weights, stats, _ = _node_data(g.n, seed)
+    params = NodeParams(weights=weights, stats=stats)
+    base = predict(g, params, 30.0, quantize_step=1e-3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "classify", lambda _g: scaled)
+        got = predict(g, params, 30.0, quantize_step=1e-3)
+    assert [c.members for c in got.clusters] == [c.members for c in base.clusters]
+    assert got.unresolved == base.unresolved
+    tol = 1e-13 * float(np.abs(stats).max())
+    for mine, theirs in zip(got.clusters, base.clusters):
+        assert mine.omega == pytest.approx(theirs.omega, rel=1e-12, abs=tol)
+
+
+@props
+@given(rooted_graphs(), st.floats(0.01, 100.0), st.sampled_from([1e-4, 1e-3, 1e-2]),
+       st.integers(0, 2**32 - 1))
+def test_analytic_debias_is_the_influence_weighted_mean(g, coupling, step_s, seed):
+    rng = np.random.default_rng(seed)
+    weights, stats = rng.uniform(0.5, 2.0, g.n), rng.uniform(0.5, 2.0, g.n)
+    cfg = SimConfig(coupling, step_s, 2)
+    result = debias_two_step(g, NodeParams(weights=weights, stats=stats), cfg, DebiasMode.ANALYTIC)
+    gamma = classify(g).influence
+    want = float(gamma @ (weights * stats)) / float(gamma @ weights)
+    assert result.estimate == pytest.approx(want, rel=1e-12)
