@@ -166,6 +166,8 @@ def _load_params_file(path: "str | None", n: int, seed: int) -> NodeParams:
                 obs = np.asarray(doc["y"], dtype=float)
             else:
                 truth = float(doc["truth"])
+                if not np.all(variances > 0):  # before the square root below
+                    raise ValueError("noise variances must be positive")
                 rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_SEED_TAG]))
                 obs = amps * truth + rng.normal(0.0, np.sqrt(variances))
             params = ml_setup(amps, variances, obs)

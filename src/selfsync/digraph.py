@@ -338,13 +338,12 @@ def classify(g: Digraph) -> ConnectivityReport:
     else:
         kind = ConnectivityClass.DISCONNECTED
 
-    a = g.gain_matrix()
-    received = a.sum(axis=1)
-    transmitted = a.sum(axis=0)
+    received = np.bincount(g.dst, weights=g.gain, minlength=g.n)
+    transmitted = np.bincount(g.src, weights=g.gain, minlength=g.n)
     scale = max(1.0, float(received.max(initial=0.0)))
     balanced = bool(np.all(np.abs(received - transmitted) <= 1e-12 * scale))
 
-    lap = np.diag(received) - a
+    lap = laplacian(g)
     influence = np.zeros(g.n)
     for ri in root_sccs:
         nodes = np.asarray(sccs[ri], dtype=int)

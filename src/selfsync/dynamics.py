@@ -43,9 +43,10 @@ __all__ = [
 # of magnitude under the explicit-Euler monotonicity bound of 1.
 STIFFNESS_GUARD = 0.1
 
-DEFAULT_WINDOW = 200
-DEFAULT_DRIFT_TOL = 1e-8
-DEFAULT_SYNC_TOL = 1e-6
+# The fixed settle rule of detect_consensus.
+WINDOW = 200
+DRIFT_TOL = 1e-8
+SYNC_TOL = 1e-6
 
 # Rows formatted per block when writing CSV.
 _CSV_BLOCK_ROWS = 1024
@@ -118,18 +119,17 @@ class InitialCondition:
         """Materialize the history block of shape ``(rows, n)``."""
         if self.kind == "zero":
             return np.zeros((rows, n))
+        v = self.values
         if self.kind == "constant":
-            v = self.values
             if v.shape not in ((1,), (n,)):
                 raise ValueError(f"constant initial condition needs 1 or {n} values")
-            return np.broadcast_to(v, (rows, n)).copy() if v.shape == (n,) else np.full((rows, n), float(v[0]))
+            return np.broadcast_to(v, (rows, n)).copy()
         if self.kind == "samples":
-            arr = self.values
-            if arr.shape[1] != n:
-                raise ValueError(f"sampled history has {arr.shape[1]} columns, expected {n}")
-            if arr.shape[0] < rows:
-                raise ValueError(f"sampled history needs at least {rows} rows, got {arr.shape[0]}")
-            return arr[-rows:].copy()
+            if v.shape[1] != n:
+                raise ValueError(f"sampled history has {v.shape[1]} columns, expected {n}")
+            if v.shape[0] < rows:
+                raise ValueError(f"sampled history needs at least {rows} rows, got {v.shape[0]}")
+            return v[-rows:].copy()
         raise ValueError(f"unknown initial condition kind {self.kind!r}")
 
 
@@ -169,7 +169,11 @@ def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
     """
     if step_s <= 0 or not np.isfinite(step_s):
         raise ValueError("step_s must be finite and positive")
-    lags = np.rint(g.delay_s / step_s).astype(np.int64)
+    with np.errstate(over="ignore"):
+        steps = np.rint(g.delay_s / step_s)
+    if not np.all(steps < 2.0**63):
+        raise ValueError(f"delays up to {g.delay_s.max()} s exceed 2**63 steps of {step_s} s")
+    lags = steps.astype(np.int64)
     return DelayQuantization(lags=lags, m_max=int(lags.max(initial=0)), step_s=step_s)
 
 
@@ -199,8 +203,9 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
 
     The state at step 0 is the initial history's final row; earlier rows
     feed the delayed coupling terms.  Warns with :class:`StepSizeWarning`
-    when the per-node coupling rate is large for the step size, and raises
-    :class:`SimulationDiverged` as soon as any derivative goes non-finite.
+    when the per-node coupling rate is large for the step size.  After the
+    run, raises :class:`SimulationDiverged` naming the first step whose
+    derivative is non-finite.
     """
     if params.n != g.n:
         raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
@@ -209,7 +214,7 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
     m_max = quant.m_max
     horizon = cfg.horizon
 
-    dsts, gains = g.dst, g.gain
+    dsts, gains, stats = g.dst, g.gain, params.stats
     # At step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
     taps = (m_max - quant.lags) * n + g.src
 
@@ -225,32 +230,23 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
         )
 
     # Rows 0 .. m_max hold the history at steps -m_max .. 0; row m_max + k
-    # is the state at step k.
-    x = np.empty((m_max + horizon, n))
+    # is the state at step k; the final step writes a spare last row.
+    x = np.empty((m_max + horizon + 1, n))
     x[: m_max + 1] = cfg.init.fill(m_max + 1, n)
     flat = x.reshape(-1)
     derivs = np.empty((horizon, n))
-    stats = params.stats
 
-    has_edges = dsts.size > 0
     # Overflow is reported through SimulationDiverged, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            row = m_max + k
-            now = x[row]
-            if has_edges:
-                delayed = flat[k * n :].take(taps)
-                pull = gains * (delayed - now.take(dsts))
-                agg = np.bincount(dsts, weights=pull, minlength=n)
-            else:
-                agg = 0.0
-            xdot = stats + rate * agg
-            if not np.all(np.isfinite(xdot)):
-                raise SimulationDiverged(f"non-finite derivative at step {k}", step=k)
-            derivs[k] = xdot
-            if k + 1 < horizon:
-                x[row + 1] = now + cfg.step_s * xdot
+            now = x[m_max + k]
+            pull = gains * (flat[k * n :].take(taps) - now.take(dsts))
+            derivs[k] = xdot = stats + rate * np.bincount(dsts, weights=pull, minlength=n)
+            x[m_max + k + 1] = now + cfg.step_s * xdot
 
+    bad = np.flatnonzero(~np.isfinite(derivs).all(axis=1))
+    if bad.size:
+        raise SimulationDiverged(f"non-finite derivative at step {bad[0]}", step=int(bad[0]))
     states = x[m_max : m_max + horizon].copy()
     times = np.arange(horizon) * cfg.step_s
     return Trajectory(step_s=cfg.step_s, times=times, states=states, derivs=derivs)
@@ -288,62 +284,44 @@ class ConsensusVerdict:
         }
 
 
-def detect_consensus(
-    traj: Trajectory,
-    *,
-    window: int = DEFAULT_WINDOW,
-    drift_tol: float = DEFAULT_DRIFT_TOL,
-    sync_tol: float = DEFAULT_SYNC_TOL,
-) -> ConsensusVerdict:
+def detect_consensus(traj: Trajectory) -> ConsensusVerdict:
     """Classify the terminal derivative behavior of a trajectory.
 
-    Over the final ``window`` samples, a node is settled when its
-    derivative range is below ``drift_tol`` and settled nodes are grouped
-    when their means sit within ``sync_tol``; both tolerances are relative
-    to the largest derivative magnitude in the window.  GLOBAL means every
-    node settled into one group (``omega`` is the mean terminal
-    derivative); two or more groups give CLUSTERED; anything else NONE.
-    Nodes fed by several groups may settle to intermediate values and then
-    show up as extra groups; no convergence claim is made for them.
+    Over the final ``WINDOW`` samples, a node is settled when its
+    derivative range is below ``DRIFT_TOL`` and settled nodes are grouped
+    when their means sit within ``SYNC_TOL``; both tolerances are relative
+    to the largest derivative magnitude over the whole run, so a network
+    that settles at rate 0 reads as settled.  GLOBAL means every node
+    settled into one group (``omega`` is the mean terminal derivative);
+    two or more groups give CLUSTERED; anything else NONE.  Nodes fed by
+    several groups may settle to intermediate values and then show up as
+    extra groups; no convergence claim is made for them.
     """
-    if window < 2:
-        raise ValueError("window must be at least 2 samples")
-    if traj.horizon <= window:
-        raise ValueError(f"trajectory ({traj.horizon} steps) must be longer than window {window}")
-    tail = traj.derivs[-window:]
-    scale = max(float(np.max(np.abs(tail))), 1e-300)
-    ranges = tail.max(axis=0) - tail.min(axis=0)
+    if traj.horizon <= WINDOW:
+        raise ValueError(f"trajectory ({traj.horizon} steps) must be longer than window {WINDOW}")
+    derivs = traj.derivs
+    scale = max(float(derivs.max()), -float(derivs.min()), 1e-300)
+    tail = derivs[-WINDOW:]
     means = tail.mean(axis=0)
-    settled = ranges < drift_tol * scale
+    settled = np.ptp(tail, axis=0) < DRIFT_TOL * scale
 
-    settled_idx = np.flatnonzero(settled)
-    unsettled = tuple(int(i) for i in np.flatnonzero(~settled))
-
-    groups: list[DerivativeGroup] = []
-    if settled_idx.size:
-        order = settled_idx[np.argsort(means[settled_idx], kind="stable")]
-        start = 0
-        vals = means[order]
-        for i in range(1, order.size + 1):
-            if i == order.size or vals[i] - vals[i - 1] > sync_tol * scale:
-                members = tuple(sorted(int(v) for v in order[start:i]))
-                groups.append(DerivativeGroup(members=members, omega=float(vals[start:i].mean())))
-                start = i
+    order = np.flatnonzero(settled)[np.argsort(means[settled], kind="stable")]
+    vals = means[order]
+    cuts = np.flatnonzero(np.diff(vals) > SYNC_TOL * scale) + 1
+    groups = tuple(
+        DerivativeGroup(members=tuple(sorted(members.tolist())), omega=float(part.mean()))
+        for members, part in zip(np.split(order, cuts), np.split(vals, cuts))
+        if members.size
+    )
+    unsettled = tuple(np.flatnonzero(~settled).tolist())
 
     if len(groups) == 1 and not unsettled:
-        return ConsensusVerdict(
-            kind=VerdictKind.GLOBAL,
-            omega=float(means.mean()),
-            groups=tuple(groups),
-            unsettled=(),
-        )
-    if len(groups) >= 2:
-        return ConsensusVerdict(
-            kind=VerdictKind.CLUSTERED, omega=None, groups=tuple(groups), unsettled=unsettled
-        )
-    return ConsensusVerdict(
-        kind=VerdictKind.NONE, omega=None, groups=tuple(groups), unsettled=unsettled
-    )
+        kind, omega = VerdictKind.GLOBAL, float(means.mean())
+    elif len(groups) >= 2:
+        kind, omega = VerdictKind.CLUSTERED, None
+    else:
+        kind, omega = VerdictKind.NONE, None
+    return ConsensusVerdict(kind=kind, omega=omega, groups=groups, unsettled=unsettled)
 
 
 def _csv_lines(*columns: np.ndarray):

@@ -1,9 +1,15 @@
 """Command-line harness: wire formats, flag/config merging, exit codes."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsync.cli import main
 
@@ -316,6 +322,15 @@ def test_params_unknown_shape(chain_files, tmp_path, capsys):
     assert code == 2
 
 
+def test_params_truth_with_negative_variance_is_data_error(chain_files, tmp_path, capsys):
+    graph, _ = chain_files
+    params = tmp_path / "ml.json"
+    params.write_text(json.dumps({"A": [1.0, 1.0], "sigma2": [-1.0, 1.0], "truth": 2.0}))
+    code, _, err = run_cli(["predict", "--graph", graph, "--params", params], capsys)
+    assert code == 2
+    assert err.startswith("data error:") and "variances" in err
+
+
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 1
     capsys.readouterr()
@@ -362,6 +377,38 @@ def test_bad_values_are_usage_errors(chain_files, tmp_path, capsys, argv, config
     assert "Traceback" not in err
 
 
+# === zero rate and quantization limits ===
+
+@pytest.fixture()
+def zero_rate_ring_files(tmp_path):
+    """Unit-gain 3-ring whose closed-form rate is exactly 0."""
+    graph = tmp_path / "ring3.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [
+        {"dst": (i + 1) % 3, "src": i, "gain": 1.0, "delay_s": 0.02} for i in range(3)
+    ]}))
+    params = tmp_path / "ring3_params.json"
+    params.write_text(json.dumps({"c": [1.0, 1.0, 1.0], "u": [1.0, -1.0, 0.0]}))
+    return graph, params
+
+
+def test_debias_zero_rate_ring(zero_rate_ring_files, capsys):
+    graph, params = zero_rate_ring_files
+    code, out, err = run_cli(
+        ["debias", "--graph", graph, "--params", params, "--decision", "threshold:0"], capsys
+    )
+    assert code == 0, err
+    assert abs(json.loads(out)["estimate"]) < 1e-9
+
+
+def test_predict_rejects_lags_beyond_int64(zero_rate_ring_files, capsys):
+    graph, params = zero_rate_ring_files
+    code, out, err = run_cli(
+        ["predict", "--graph", graph, "--params", params, "--quantize-step", 1e-300], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
 # === params with seeded observations ===
 
 def test_params_truth_draws_seeded_observations(chain_files, tmp_path, capsys):
@@ -404,3 +451,137 @@ def test_python_dash_m_entry(chain_files, tmp_path):
         capture_output=True, text=True,
     )
     assert bad.returncode == 2
+
+
+# === fuzz guard: every input maps to an exit code, never a traceback ===
+# Sizes stay small (at most 6 nodes, 2000 steps, 2 runs), and every step
+# size either keeps the delay history short or overflows the lag outright.
+
+_BAD_JSON = ["", "{", "[]", "null", '{"n": 2}', '{"n": 1e400, "edges": []}']
+_BAD_VALUES = [0.0, -1.0, "1", None, 1e400]
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 4)) == 0
+
+
+@st.composite
+def _graph_text(draw, n):
+    """A small graph file; one in five is corrupt, one in five holds a bad field."""
+    if _rarely(draw):
+        return draw(st.sampled_from(_BAD_JSON))
+    pairs = [(d, s) for d in range(n) for s in range(n) if d != s]
+    edges = [
+        {"dst": d, "src": s, "gain": draw(st.sampled_from([1.0, 0.3, 2.0])),
+         "delay_s": draw(st.sampled_from([0.0, 0.02, 0.05]))}
+        for d, s in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    ] if pairs else []
+    if edges and _rarely(draw):
+        field = draw(st.sampled_from(["dst", "src", "gain", "delay_s"]))
+        edges[0][field] = draw(st.sampled_from(_BAD_VALUES + [n, -0.01]))
+    return json.dumps({"n": n, "edges": edges})
+
+
+@st.composite
+def _params_text(draw, n):
+    """Sign-mixed statistics for ``n`` nodes (or one more); sometimes corrupt."""
+    if _rarely(draw):
+        return draw(st.sampled_from(_BAD_JSON))
+    n += _rarely(draw)
+    positive = st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=n, max_size=n)
+    signed = st.lists(st.sampled_from([1.0, -1.0, 0.0, 2.5]), min_size=n, max_size=n)
+    amps = st.lists(st.sampled_from([1.0, -1.0, 2.5]), min_size=n, max_size=n)
+    doc = draw(st.sampled_from([
+        {"c": draw(positive), "u": draw(signed)},
+        {"A": draw(amps), "sigma2": draw(positive), "y": draw(signed)},
+        {"A": draw(amps), "sigma2": draw(positive), "truth": 1.0},
+    ]))
+    if _rarely(draw):
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(st.sampled_from(_BAD_VALUES)) if key == "truth" else (
+            [draw(st.sampled_from(_BAD_VALUES))] * n
+        )
+    return json.dumps(doc)
+
+
+# Flags every example passes, then flags drawn one by one.
+_REQUIRED = {
+    "analyze": ["--graph"],
+    "predict": ["--graph", "--params"],
+    "simulate": ["--graph", "--params", "--horizon", "--out"],
+    "debias": ["--graph", "--params"],
+    "study": ["--outdir"],
+    "mc-estimate": ["--out", "--nodes", "--runs", "--horizon"],
+}
+_OPTIONAL = {
+    "analyze": ["--out", "--config"],
+    "predict": ["--coupling", "--quantize-step", "--out", "--seed", "--config"],
+    "simulate": ["--ts", "--coupling", "--init", "--seed", "--config"],
+    "debias": ["--ts", "--horizon", "--coupling", "--mode", "--decision", "--out", "--seed",
+               "--config"],
+    "study": ["--preset", "--graph", "--params", "--ts", "--coupling", "--horizon",
+              "--lag-steps", "--seed", "--config"],
+    "mc-estimate": ["--ts", "--delay-span-steps", "--hear-threshold", "--tx-power",
+                    "--amplitude", "--noise-var", "--max-attempts", "--seed", "--config"],
+}
+_FLAGS = {
+    "--graph": st.just("{graph}"),
+    "--params": st.just("{params}"),
+    "--out": st.sampled_from(["{tmp}/out"] * 4 + ["{tmp}", "{tmp}/missing/out"]),
+    "--outdir": st.sampled_from(["{tmp}/study"] * 4 + ["{graph}/study"]),
+    "--preset": st.sampled_from(["chain", "forest", "torus"]),
+    "--coupling": st.sampled_from(["30", "1", "0", "-2", "nan", "abc"]),
+    "--ts": st.sampled_from(["1e-3", "0.01", "0.1", "1e-300", "0", "inf"]),
+    "--horizon": st.sampled_from(["150", "250", "600", "2000", "0"]),
+    "--quantize-step": st.sampled_from(["1e-3", "0.1", "1e-300", "-1"]),
+    "--init": st.sampled_from(["zero", "constant:2", "constant:x", "random", "other"]),
+    "--mode": st.sampled_from(["simulated", "analytic", "other"]),
+    "--decision": st.sampled_from(["identity", "exp", "threshold:0", "threshold:x", "other"]),
+    "--lag-steps": st.sampled_from(["0", "5", "50", "-1"]),
+    "--nodes": st.sampled_from(["2", "3", "6", "1"]),
+    "--runs": st.sampled_from(["1", "2", "1", "0"]),
+    "--delay-span-steps": st.sampled_from(["0", "10", "-1"]),
+    "--hear-threshold": st.sampled_from(["0.1", "0.5", "1e12", "-1", "nan"]),
+    "--tx-power": st.sampled_from(["1", "4", "0", "nan"]),
+    "--noise-var": st.sampled_from(["1", "0.1", "0", "-1", "nan"]),
+    "--amplitude": st.sampled_from(["1", "-2", "0", "nan"]),
+    "--max-attempts": st.sampled_from(["1", "8", "0"]),
+    "--seed": st.sampled_from(["0", "3", "-1"]),
+    "--config": st.just("{config}"),
+}
+_CONFIGS = [{"horizon": "abc"}, {"horizon": 300.0}, {"ts": None}, {"mode": "ANALYZE"},
+            {"coupling": [1]}, {"seed": 2}, {"init": "random"}]
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    argv = [command]
+    for flag in _REQUIRED[command]:
+        argv += [flag, draw(_FLAGS[flag])]
+    for flag in _OPTIONAL[command]:
+        if draw(st.integers(0, 2)) == 0:
+            argv += [flag, draw(_FLAGS[flag])]
+    n = draw(st.integers(1, 6))
+    files = {
+        "graph": draw(_graph_text(n)),
+        "params": draw(_params_text(n)),
+        "config": json.dumps(draw(st.sampled_from(_CONFIGS))),
+    }
+    return argv, files
+
+
+@settings(deadline=None, max_examples=50)
+@given(_invocations())
+def test_cli_fuzz_exit_codes_without_tracebacks(invocation):
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"tmp": tmp}
+        for name, text in files.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

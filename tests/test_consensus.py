@@ -240,6 +240,14 @@ def test_debias_simulated_matches_analytic():
         assert sim.estimate == pytest.approx(ana.estimate, rel=1e-7)
 
 
+def test_debias_simulated_zero_rate_ring():
+    g = Digraph(3, [Edge((i + 1) % 3, i, 1.0, 0.02) for i in range(3)])
+    params = NodeParams(weights=np.ones(3), stats=[1.0, -1.0, 0.0])
+    cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=6000)
+    result = debias_two_step(g, params, cfg, DebiasMode.SIMULATED)
+    assert abs(result.estimate) < 1e-9
+
+
 def test_debias_invariant_to_delays_and_coupling():
     rng = np.random.default_rng(23)
     g0 = random_qsc_graph(rng, 5)

@@ -24,10 +24,12 @@ from selfsync import (
     StepSizeWarning,
     Trajectory,
     VerdictKind,
+    classify,
     detect_consensus,
     quantize_delays,
     simulate,
 )
+from selfsync.dynamics import WINDOW
 
 
 def mutual_pair(delay: float = 0.0, gain: float = 1.0) -> Digraph:
@@ -55,6 +57,12 @@ def test_quantize_exact_multiples_pass_through():
 def test_quantize_rejects_bad_step():
     with pytest.raises(ValueError):
         quantize_delays(mutual_pair(), 0.0)
+
+
+def test_quantize_rejects_lags_beyond_int64():
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        quantize_delays(mutual_pair(delay=0.02), 1e-300)
+    assert quantize_delays(mutual_pair(delay=1.0), 2.0**-62).m_max == 2**62
 
 
 # === Simulation fixed points ===
@@ -201,7 +209,7 @@ def test_divergence_raises_with_step_index():
         warnings.simplefilter("ignore", StepSizeWarning)
         with pytest.raises(SimulationDiverged) as info:
             simulate(g, params, cfg)
-    assert 0 < info.value.step < 5000
+    assert info.value.step == 324
 
 
 # === Terminal-rate detector ===
@@ -262,11 +270,41 @@ def test_detector_merges_within_tolerance():
 
 
 def test_detector_validation():
-    traj = synthetic_trajectory(np.ones((100, 2)))
     with pytest.raises(ValueError):
-        detect_consensus(traj, window=1)
-    with pytest.raises(ValueError):
-        detect_consensus(traj, window=100)
+        detect_consensus(synthetic_trajectory(np.ones((WINDOW, 2))))
+    assert detect_consensus(synthetic_trajectory(np.ones((WINDOW + 1, 2)))).kind is VerdictKind.GLOBAL
+
+
+def zero_rate_ring() -> tuple[Digraph, NodeParams, SimConfig]:
+    """Unit-gain 3-ring whose closed-form rate is exactly 0."""
+    g = Digraph(3, [Edge((i + 1) % 3, i, 1.0, 0.02) for i in range(3)])
+    params = NodeParams(weights=np.ones(3), stats=[1.0, -1.0, 0.0])
+    return g, params, SimConfig(coupling=30.0, step_s=1e-3, horizon=6000)
+
+
+def test_detector_reads_zero_rate_ring_as_global():
+    verdict = detect_consensus(simulate(*zero_rate_ring()))
+    assert verdict.kind is VerdictKind.GLOBAL
+    assert abs(verdict.omega) < 1e-12
+
+
+def test_detector_reads_zero_mean_statistics_as_global():
+    """Sign-mixed statistics shifted to a gamma*c-weighted mean of 0 settle at rate 0."""
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        links = {((i + 1) % n, i) for i in range(n)}
+        links |= {(d, s) for d in range(n) for s in range(n) if d != s and rng.random() < 0.5}
+        g = Digraph(n, [Edge(d, s, rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.02))
+                        for d, s in sorted(links)])
+        weights = rng.uniform(1.0, 2.0, n)
+        stats = rng.normal(0.0, 1.0, n)
+        gc = classify(g).influence * weights
+        stats -= np.dot(gc, stats) / gc.sum()
+        params = NodeParams(weights=weights, stats=stats)
+        verdict = detect_consensus(simulate(g, params, SimConfig(10.0, 1e-3, 6000)))
+        assert verdict.kind is VerdictKind.GLOBAL, (n, verdict)
+        assert abs(verdict.omega) < 1e-9
 
 
 def test_verdict_json_dict():

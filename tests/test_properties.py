@@ -11,10 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsync import (
+    DebiasError,
     DebiasMode,
     Digraph,
     Edge,
@@ -22,6 +23,7 @@ from selfsync import (
     InitialCondition,
     NodeParams,
     SimConfig,
+    StepSizeWarning,
     classify,
     debias_two_step,
     laplacian,
@@ -227,3 +229,23 @@ def test_analytic_debias_is_the_influence_weighted_mean(g, coupling, step_s, see
     gamma = classify(g).influence
     want = float(gamma @ (weights * stats)) / float(gamma @ weights)
     assert result.estimate == pytest.approx(want, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(rooted_graphs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_simulated_debias_agrees_with_analytic(g, seed, zero_mean):
+    rng = np.random.default_rng(seed)
+    weights, stats = rng.uniform(0.5, 2.0, g.n), rng.normal(0.0, 1.0, g.n)
+    if zero_mean:
+        gc = classify(g).influence * weights
+        stats -= float(gc @ stats) / float(gc.sum())
+    params = NodeParams(weights=weights, stats=stats)
+    cfg = SimConfig(5.0, 1e-3, 15000)
+    analytic = debias_two_step(g, params, cfg, DebiasMode.ANALYTIC).estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        try:
+            simulated = debias_two_step(g, params, cfg, DebiasMode.SIMULATED).estimate
+        except DebiasError:
+            assume(False)
+    assert abs(simulated - analytic) <= 1e-6 * max(1.0, abs(analytic))
