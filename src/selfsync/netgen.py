@@ -75,15 +75,17 @@ class RadioConfig:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.area_side < 0 or not np.isfinite(self.area_side):
             raise ValueError("area_side must be finite and nonnegative")
-        if self.hear_threshold < 0:
+        # Negated comparisons, so NaN fails them; an infinite wave speed
+        # (zero delays) passes.
+        if not self.hear_threshold >= 0:
             raise ValueError("hear_threshold must be nonnegative")
-        if self.path_loss_exponent < 0:
+        if not self.path_loss_exponent >= 0:
             raise ValueError("path_loss_exponent must be nonnegative")
-        if self.wave_speed <= 0:
+        if not self.wave_speed > 0:
             raise ValueError("wave_speed must be positive")
-        if self.delay_offset_s < 0:
+        if not self.delay_offset_s >= 0:
             raise ValueError("delay_offset_s must be nonnegative")
-        if self.delay_span_s is not None and self.delay_span_s < 0:
+        if self.delay_span_s is not None and not self.delay_span_s >= 0:
             raise ValueError("delay_span_s must be nonnegative")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")

@@ -2,15 +2,18 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsync import cli, load_graph
 from selfsync.cli import main
 
 
@@ -377,6 +380,141 @@ def test_bad_values_are_usage_errors(chain_files, tmp_path, capsys, argv, config
     assert "Traceback" not in err
 
 
+# === config contract: keys are option names, values are checked ===
+
+# Every option of every subcommand, as its config key, and the kind of value
+# it takes; --config is the only flag without a key.
+_KEYS = {
+    "analyze": {"graph": "text", "out": "text", "seed": "number"},
+    "predict": {"graph": "text", "params": "text", "coupling": "number",
+                "quantize_step": "number", "out": "text", "seed": "number"},
+    "simulate": {"graph": "text", "params": "text", "ts": "number", "horizon": "number",
+                 "coupling": "number", "init": "text", "out": "text", "seed": "number"},
+    "debias": {"graph": "text", "params": "text", "ts": "number", "horizon": "number",
+               "coupling": "number", "mode_choice": "text", "decision": "text",
+               "out": "text", "seed": "number"},
+    "study": {"preset": "text", "graph": "text", "params": "text", "ts": "number",
+              "coupling": "number", "horizon": "number", "lag_steps": "number",
+              "outdir": "text", "seed": "number"},
+    "mc-estimate": {"nodes": "number", "runs": "number", "coupling": "number", "ts": "number",
+                    "horizon": "number", "delay_span_steps": "number",
+                    "hear_threshold": "number", "tx_power": "number", "amplitude": "number",
+                    "noise_var": "number", "truth": "number", "max_attempts": "number",
+                    "out": "text", "seed": "number"},
+}
+_WRONG = {"text": [5], "number": ["1", True]}
+# A config that runs each subcommand quickly when no key is spoiled.
+_BASE = {
+    "analyze": {"graph": "{graph}"},
+    "predict": {"graph": "{graph}", "params": "{params}"},
+    "simulate": {"graph": "{graph}", "params": "{params}", "horizon": 10, "out": "{tmp}/t.csv"},
+    "debias": {"graph": "{graph}", "params": "{params}", "mode_choice": "analytic"},
+    "study": {"horizon": 300, "outdir": "{tmp}/study"},
+    "mc-estimate": {"nodes": 4, "runs": 1, "horizon": 50, "out": "{tmp}/mc.csv"},
+}
+
+
+def _run_with_config(command, config, files, capsys, argv=()):
+    graph, params, tmp = files
+    doc = {k: v.format(graph=graph, params=params, tmp=tmp) if isinstance(v, str) else v
+           for k, v in config.items()}
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return run_cli([command, "--config", path, *argv], capsys)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value)
+    for command, keys in _KEYS.items()
+    for key, kind in keys.items()
+    for value in _WRONG[kind]
+])
+def test_wrong_typed_config_values_are_usage_errors(chain_files, tmp_path, capsys,
+                                                    command, key, value):
+    files = (*chain_files, tmp_path)
+    code, _, err = _run_with_config(command, {**_BASE[command], key: value}, files, capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key", [("predict", "coupling"), ("mc-estimate", "truth")])
+def test_config_numbers_beyond_float_range_are_usage_errors(chain_files, tmp_path, capsys,
+                                                            command, key):
+    files = (*chain_files, tmp_path)
+    code, _, err = _run_with_config(command, {**_BASE[command], key: 10**400}, files, capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and key in err
+
+
+def test_config_base_runs_every_subcommand(chain_files, tmp_path, capsys):
+    for command, config in _BASE.items():
+        code, _, err = _run_with_config(command, config, (*chain_files, tmp_path), capsys)
+        assert code == 0, (command, err)
+
+
+def test_config_runs_key_sets_the_run_count(tmp_path, capsys):
+    config = {"runs": 1, "nodes": 4, "horizon": 50, "out": "{tmp}/mc.csv"}
+    code, out, err = _run_with_config("mc-estimate", config, (None, None, tmp_path), capsys)
+    assert code == 0, err
+    assert json.loads(out)["runs"] == 1
+
+
+@pytest.mark.parametrize("key", ["horizn", "mc_runs", "config"])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, key):
+    code, _, err = _run_with_config(
+        "mc-estimate", {key: 1}, (None, None, tmp_path), capsys,
+        argv=["--nodes", 4, "--runs", 1, "--horizon", 50, "--out", tmp_path / "mc.csv"],
+    )
+    assert code == 1
+    assert err.startswith("usage error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-estimate", "--hear-threshold", "nan", "--out", "{tmp}/mc.csv"],
+    ["analyze", "--graph", "{graph}", "--seed", -1],
+    ["predict", "--graph", "{tmp}/missing.json", "--params", "{params}", "--coupling", -1],
+    ["study", "--params", "{params}", "--outdir", "{tmp}/study"],
+])
+def test_flag_values_are_checked_before_files_are_read(chain_files, tmp_path, capsys, argv):
+    graph, params = chain_files
+    args = [str(a).format(graph=graph, params=params, tmp=tmp_path) for a in argv]
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("simulate", "simulate"), ("simulate", "Simulate"),
+    ("mc-estimate", "mc-estimate"), ("mc-estimate", "MC_ESTIMATE"), ("mc-estimate", "mc_estimate"),
+])
+def test_config_mode_names_the_subcommand_in_any_case(chain_files, tmp_path, capsys,
+                                                      command, mode):
+    files = (*chain_files, tmp_path)
+    code, _, err = _run_with_config(command, {**_BASE[command], "mode": mode}, files, capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("mode", [5, None, "predict", "analyze_x"])
+def test_config_mode_must_be_the_subcommand_name(chain_files, tmp_path, capsys, mode):
+    files = (*chain_files, tmp_path)
+    code, _, err = _run_with_config("analyze", {**_BASE["analyze"], "mode": mode}, files, capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and "mode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(_KEYS))
+def test_help_lists_each_flag_once(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    flags = ["--mode" if key == "mode_choice" else "--" + key.replace("_", "-")
+             for key in _KEYS[command]]
+    assert sorted(listed) == sorted(flags + ["--config"])
+
+
 # === zero rate and quantization limits ===
 
 @pytest.fixture()
@@ -433,6 +571,15 @@ def test_params_truth_draws_seeded_observations(chain_files, tmp_path, capsys):
          "--seed", 4], capsys,
     )
     assert json.loads(out3)["estimate"] != est
+
+
+def test_truth_noise_and_random_init_draw_separate_streams(chain_files, tmp_path):
+    graph, _ = chain_files
+    params = tmp_path / "ml.json"
+    params.write_text(json.dumps({"A": [1.0, 1.0], "sigma2": [1.0, 1.0], "truth": 0.0}))
+    noise = cli._load_params_file(str(params), 2, 5).stats
+    history = cli._build_init("random", load_graph(graph), 1e-3, 5).values
+    assert not any(np.array_equal(noise, row) for row in history)
 
 
 # === module entry point ===
@@ -551,6 +698,26 @@ _FLAGS = {
 }
 _CONFIGS = [{"horizon": "abc"}, {"horizon": 300.0}, {"ts": None}, {"mode": "ANALYZE"},
             {"coupling": [1]}, {"seed": 2}, {"init": "random"}]
+# Valid config values for the options whose values are not paths (a path
+# in a config file cannot name the example's temporary directory).
+_VALID = {"preset": "forest", "init": "random", "mode_choice": "analytic", "decision": "exp",
+          "coupling": 2.0, "ts": 0.01, "quantize_step": 0.01, "horizon": 300, "lag_steps": 5,
+          "nodes": 3, "runs": 1, "delay_span_steps": 10, "hear_threshold": 0.5,
+          "tx_power": 4.0, "amplitude": -2.0, "noise_var": 0.1, "truth": 2.0, "seed": 3}
+
+
+@st.composite
+def _option_config(draw, command):
+    """A config built from the subcommand's option names, valid or spoiled."""
+    keys = _KEYS[command]
+    key = draw(st.sampled_from(sorted(keys)))
+    valid = [{k: _VALID[k]} for k in sorted(keys) if k in _VALID]
+    return draw(st.sampled_from(valid + [
+        {key: draw(st.sampled_from(_WRONG[keys[key]]))},
+        {"horizn": 5},
+        {"runs": 1},
+        {"mode": command},
+    ]))
 
 
 @st.composite
@@ -566,7 +733,7 @@ def _invocations(draw):
     files = {
         "graph": draw(_graph_text(n)),
         "params": draw(_params_text(n)),
-        "config": json.dumps(draw(st.sampled_from(_CONFIGS))),
+        "config": json.dumps(draw(st.one_of(st.sampled_from(_CONFIGS), _option_config(command)))),
     }
     return argv, files
 

@@ -34,6 +34,20 @@ def test_config_validation():
         RadioConfig(n=2, seed=-1)
 
 
+@pytest.mark.parametrize("field", [
+    "hear_threshold", "path_loss_exponent", "wave_speed", "delay_offset_s", "delay_span_s",
+])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        RadioConfig(n=2, **{field: float("nan")})
+
+
+def test_infinite_wave_speed_means_zero_delays():
+    cfg = RadioConfig(n=4, wave_speed=float("inf"), seed=3)
+    g = build_channel(cfg, place_nodes(cfg))
+    assert g.dst.size > 0 and np.all(g.delay_s == 0.0)
+
+
 # === Placement ===
 
 def test_place_nodes_shape_and_bounds():
