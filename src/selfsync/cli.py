@@ -118,6 +118,17 @@ def _load_graph_file(path: str) -> Digraph:
         raise DataError(f"graph file {path}: {exc}") from exc
 
 
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """Field ``key`` of a params file: a JSON list of finite numbers."""
+    values = doc[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    bad = [v for v in values if not _finite(v)]
+    if bad:
+        raise ValueError(f"{key} must hold finite numbers, got {bad[0]!r}")
+    return np.array(values, dtype=float)
+
+
 def _load_params_file(path: str, n: int, seed: int) -> NodeParams:
     """Node parameters from JSON: explicit u/c, or ML observation fields.
 
@@ -129,21 +140,19 @@ def _load_params_file(path: str, n: int, seed: int) -> NodeParams:
     doc = _read_json(path, "params")
     try:
         if "u" in doc or "c" in doc:
-            params = NodeParams(
-                weights=np.asarray(doc["c"], dtype=float),
-                stats=np.asarray(doc["u"], dtype=float),
-            )
+            params = NodeParams(weights=_numbers(doc, "c"), stats=_numbers(doc, "u"))
         elif "A" in doc:
-            amps = np.asarray(doc["A"], dtype=float)
-            variances = np.asarray(doc["sigma2"], dtype=float)
+            amps, variances = _numbers(doc, "A"), _numbers(doc, "sigma2")
             if "y" in doc:
-                obs = np.asarray(doc["y"], dtype=float)
+                obs = _numbers(doc, "y")
             else:
-                truth = float(doc["truth"])
+                truth = doc["truth"]
+                if not _finite(truth):
+                    raise ValueError(f"truth must be a finite number, got {truth!r}")
                 if not np.all(variances > 0):  # before the square root below
                     raise ValueError("noise variances must be positive")
                 rng = np.random.default_rng(np.random.SeedSequence([seed, _NOISE_SEED_TAG]))
-                obs = amps * truth + rng.normal(0.0, np.sqrt(variances))
+                obs = amps * float(truth) + rng.normal(0.0, np.sqrt(variances))
             params = ml_setup(amps, variances, obs)
         else:
             raise KeyError("u/c or A/sigma2 fields")
@@ -173,9 +182,13 @@ def _text(value, name: str) -> str:
     return value
 
 
-def _real(value, name: str) -> float:
+def _finite(value) -> bool:
     # The bound also rejects NaN, infinities and ints too large for a float.
-    if not _is_number(value) or not abs(value) <= sys.float_info.max:
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _real(value, name: str) -> float:
+    if not _finite(value):
         raise UsageError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -78,8 +78,11 @@ def euler_reference(g: Digraph, weights, stats, coupling: float, step_s: float,
 
     Delays become dense integer lags (round half to even); ``history``
     supplies states at steps ``-m_max .. 0`` from its trailing rows.  Each
-    node's coupling sum adds its links' pulls in edge order, starting from
-    0.0, so the arithmetic is the simulator's, operation for operation.
+    node collects its links' terms ``gain * x_src[k - lag]`` in edge order
+    and sums them as ``np.add.reduceat`` sums one segment: the first term
+    plus numpy's pairwise reduce of the rest.  Its inflow (the gain sum) is
+    summed the same way, and ``xdot = u + (K / c) * (pull - inflow * now)``,
+    so the arithmetic is the simulator's, operation for operation.
     """
     n = g.n
     lags = [[round(d / step_s) for d in row] for row in g.delay_matrix().tolist()]
@@ -87,15 +90,22 @@ def euler_reference(g: Digraph, weights, stats, coupling: float, step_s: float,
     x = [list(row) for row in np.asarray(history, dtype=float)[-(m_max + 1):].tolist()]
     rate = [coupling / c for c in np.asarray(weights, dtype=float).tolist()]
     stats = np.asarray(stats, dtype=float).tolist()
-    edges = list(zip(g.dst.tolist(), g.src.tolist(), g.gain.tolist()))
+    heard = [[] for _ in range(n)]
+    for dst, src, gain in zip(g.dst.tolist(), g.src.tolist(), g.gain.tolist()):
+        heard[dst].append((src, gain))
+
+    def segment_sum(terms: list) -> float:
+        return float(np.add.reduceat(np.array(terms), [0])[0]) if terms else 0.0
+
+    inflow = [segment_sum([gain for _, gain in links]) for links in heard]
     states, derivs = [], []
     for k in range(horizon):
         row = m_max + k
         now = x[row]
-        agg = [0.0] * n
-        for dst, src, gain in edges:
-            agg[dst] += gain * (x[row - lags[dst][src]][src] - now[dst])
-        xdot = [stats[i] + rate[i] * agg[i] for i in range(n)]
+        xdot = []
+        for i, links in enumerate(heard):
+            pull = segment_sum([gain * x[row - lags[i][src]][src] for src, gain in links])
+            xdot.append(stats[i] + rate[i] * (pull - inflow[i] * now[i]))
         states.append(now)
         derivs.append(xdot)
         x.append([now[i] + step_s * xdot[i] for i in range(n)])

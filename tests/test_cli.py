@@ -334,6 +334,40 @@ def test_params_truth_with_negative_variance_is_data_error(chain_files, tmp_path
     assert err.startswith("data error:") and "variances" in err
 
 
+_PARAMS_BASES = {
+    "c": {"c": [1.0, 1.0], "u": [3.0, -1.0]},
+    "u": {"c": [1.0, 1.0], "u": [3.0, -1.0]},
+    "A": {"A": [1.0, 2.0], "sigma2": [1.0, 1.0], "y": [1.0, 4.0]},
+    "sigma2": {"A": [1.0, 2.0], "sigma2": [1.0, 1.0], "y": [1.0, 4.0]},
+    "y": {"A": [1.0, 2.0], "sigma2": [1.0, 1.0], "y": [1.0, 4.0]},
+    "truth": {"A": [1.0, 1.0], "sigma2": [1.0, 1.0], "truth": 2.0},
+}
+
+
+@pytest.mark.parametrize("bad", ["1", True, float("nan"), float("inf"), 10**400],
+                         ids=["string", "bool", "nan", "inf", "huge"])
+@pytest.mark.parametrize("field", list(_PARAMS_BASES))
+def test_params_fields_must_be_finite_numbers(chain_files, tmp_path, capsys, field, bad):
+    graph, _ = chain_files
+    doc = dict(_PARAMS_BASES[field])
+    doc[field] = bad if field == "truth" else [bad, 1.0]
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(doc))
+    code, out, err = run_cli(["predict", "--graph", graph, "--params", params], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("data error:") and f"{field} must" in err
+    assert "Traceback" not in err
+
+
+def test_params_bases_are_valid(chain_files, tmp_path, capsys):
+    graph, _ = chain_files
+    for doc in _PARAMS_BASES.values():
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(doc))
+        code, _, _ = run_cli(["predict", "--graph", graph, "--params", params], capsys)
+        assert code == 0
+
+
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 1
     capsys.readouterr()

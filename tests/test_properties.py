@@ -7,11 +7,12 @@ influence-vector support is checked against the brute-force reachability
 oracle shared with the other test modules.
 """
 import dataclasses
+import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsync import (
@@ -161,6 +162,29 @@ def test_disjoint_union_simulates_like_separate_runs(g1, g2, seed):
         alone = run(g, part)
         assert np.array_equal(whole.states[:, part], alone.states)
         assert np.array_equal(whole.derivs[:, part], alone.derivs)
+
+
+@props
+@given(graphs(), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+@example(Digraph(3, []), random.Random(0), 0)
+@example(Digraph(4, [Edge(1, 0, 1.0, 0.003), Edge(3, 0, 0.5, 0.0), Edge(1, 2, 2.0, 0.01),
+                     Edge(3, 1, 1.5, 0.007)]), random.Random(1), 1)
+def test_simulation_ignores_how_listeners_interleave(g, rnd, seed):
+    # Deal the links out listener by listener in a random order; each
+    # listener still sees its own links in edge order.
+    slots = g.dst.tolist()
+    rnd.shuffle(slots)
+    queues = {d: [e for e in range(g.dst.size) if g.dst[e] == d] for d in set(slots)}
+    order = [queues[d].pop(0) for d in slots]
+    dealt = Digraph.from_arrays(g.n, g.dst[order], g.src[order], g.gain[order], g.delay_s[order])
+    weights, stats, _ = _node_data(g.n, seed)
+    history = np.random.default_rng(seed).normal(0.0, 1.0, (25, g.n))
+    cfg = SimConfig(2.0, 1e-3, 40, InitialCondition.samples(history))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a, b = (simulate(x, NodeParams(weights=weights, stats=stats), cfg) for x in (g, dealt))
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.derivs, b.derivs)
 
 
 @props
