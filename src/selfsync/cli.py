@@ -19,8 +19,9 @@ rerunning a command with the same config produces byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Argument values the library rejects with ``ValueError`` (a horizon too
-short to detect consensus, say) and output paths that cannot be written
-are usage errors.
+short to detect consensus, say), requests too large to allocate (a
+horizon of 10**12 steps) and output paths that cannot be written are
+usage errors.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .consensus import (
     DebiasError,
     DebiasMode,
     DecisionRule,
-    apply_decision,
     debias_two_step,
     ml_setup,
     predict,
@@ -255,7 +255,7 @@ def _cmd_debias(opts: argparse.Namespace) -> None:
     result = debias_two_step(graph, params, cfg, mode)
     doc = result.to_json_dict()
     if rule is not None:
-        doc["decision"] = apply_decision(rule, result.estimate).value
+        doc["decision"] = rule(result.estimate)
     _emit_json(doc, opts.out)
 
 
@@ -402,7 +402,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except (DataError, GraphFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError) as exc:

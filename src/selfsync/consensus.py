@@ -16,15 +16,13 @@ two rates cancels the inflation exactly, which is the two-step debias.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .digraph import ConnectivityClass, ConnectivityReport, Digraph, classify
+from .digraph import ConnectivityClass, Digraph, classify
 from .dynamics import (
     NodeParams,
     SimConfig,
@@ -42,11 +40,9 @@ __all__ = [
     "DebiasError",
     "DegenerateDebiasError",
     "DecisionRule",
-    "DecisionStatistic",
     "PREDICTION_SCHEMA",
     "predict",
     "debias_two_step",
-    "apply_decision",
     "ml_setup",
     "centralized_ml",
 ]
@@ -82,9 +78,6 @@ class ConsensusPrediction:
             "unresolved": list(self.unresolved),
         }
 
-    def write_json(self, path: "str | Path") -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
 
 PREDICTION_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -108,25 +101,6 @@ PREDICTION_SCHEMA = {
         "unresolved": {"type": "array", "items": {"type": "integer"}},
     },
 }
-
-
-def _component_reach(report: ConnectivityReport) -> list[set[int]]:
-    """For each root component, the set of condensation nodes it influences."""
-    succ: dict[int, list[int]] = {}
-    for a, b in report.condensation:
-        succ.setdefault(a, []).append(b)
-    reach_sets = []
-    for root in report.root_sccs:
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            comp = frontier.pop()
-            for nxt in succ.get(comp, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach_sets.append(seen)
-    return reach_sets
 
 
 def predict(
@@ -156,14 +130,8 @@ def predict(
         delays = quantize_delays(g, quantize_step).lags * quantize_step
     delay_load = np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
 
-    gamma = report.influence
-    comp_of = np.empty(g.n, dtype=int)
-    for idx, comp in enumerate(report.sccs):
-        comp_of[list(comp)] = idx
-
-    # reaches[k, q]: root component k influences node q.
-    reaches = np.array([np.isin(comp_of, list(reach)) for reach in _component_reach(report)])
-    owners = reaches.sum(axis=0)
+    gamma, reach = report.influence, report.reach
+    owners = reach.sum(axis=0)
 
     clusters = []
     for k, root_idx in enumerate(report.root_sccs):
@@ -175,7 +143,7 @@ def predict(
             + coupling * np.sum(block * delay_load[nodes])
         )
         omega = num / den
-        members = tuple(np.flatnonzero(reaches[k] & (owners == 1)).tolist())
+        members = tuple(np.flatnonzero(reach[k] & (owners == 1)).tolist())
         clusters.append(
             ClusterPrediction(members=members, root=tuple(report.sccs[root_idx]), omega=omega)
         )
@@ -297,18 +265,6 @@ class DecisionRule:
                 raise ValueError("threshold rule needs a level")
             return 1.0 if value >= self.level else 0.0
         raise ValueError(f"unknown decision rule kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class DecisionStatistic:
-    value: float
-    rule: DecisionRule
-    raw: float
-
-
-def apply_decision(rule: DecisionRule, weighted_average: float) -> DecisionStatistic:
-    """Apply the decision map to a (debiased) weighted network average."""
-    return DecisionStatistic(value=rule(weighted_average), rule=rule, raw=float(weighted_average))
 
 
 def ml_setup(

@@ -192,8 +192,10 @@ class ConnectivityReport:
     ``(a, b)`` meaning information flows from component ``a`` to ``b``.
     ``root_sccs`` indexes the components receiving no outside influence.
     ``influence`` is the nonnegative left null vector of the Laplacian,
-    supported exactly on root components, each root block unit 2-norm;
-    it is read-only, since :func:`classify` shares one report per graph.
+    supported exactly on root components, each root block unit 2-norm.
+    ``reach[k, q]`` is True when root component ``root_sccs[k]``
+    influences node ``q`` (its own members included).  Both arrays are
+    read-only, since :func:`classify` shares one report per graph.
     """
 
     kind: ConnectivityClass
@@ -202,6 +204,7 @@ class ConnectivityReport:
     root_sccs: tuple[int, ...]
     balanced: bool
     influence: np.ndarray
+    reach: np.ndarray
 
     @property
     def n(self) -> int:
@@ -280,13 +283,6 @@ def _tarjan_components(n: int, succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _successors(n: int, tails: np.ndarray, heads: np.ndarray) -> list[list[int]]:
-    """Successor lists ``heads`` of each tail node, in edge order."""
-    order = np.argsort(tails, kind="stable")
-    bounds = np.cumsum(np.bincount(tails, minlength=n))[:-1]
-    return [part.tolist() for part in np.split(heads[order], bounds)]
-
-
 def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
     """Strongly connected components and the condensation DAG.
 
@@ -295,7 +291,10 @@ def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[
     edges ``(a, b)``: some node in component ``b`` hears some node in
     component ``a``.  The condensation is acyclic by construction.
     """
-    comps = _tarjan_components(g.n, _successors(g.n, g.src, g.dst))
+    order = np.argsort(g.src, kind="stable")
+    bounds = np.cumsum(np.bincount(g.src, minlength=g.n))[:-1]
+    succ = [part.tolist() for part in np.split(g.dst[order], bounds)]
+    comps = _tarjan_components(g.n, succ)
     comp_of = np.empty(g.n, dtype=np.int64)
     for idx, comp in enumerate(comps):
         comp_of[comp] = idx
@@ -304,11 +303,18 @@ def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[
     return tuple(map(tuple, comps)), tuple(map(tuple, cond.tolist()))
 
 
-def _weakly_connected(g: Digraph) -> bool:
-    """One strongly connected component once every edge runs both ways."""
-    tails = np.concatenate([g.src, g.dst])
-    heads = np.concatenate([g.dst, g.src])
-    return len(_tarjan_components(g.n, _successors(g.n, tails, heads))) == 1
+def _spread(tails: np.ndarray, heads: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Close each row of ``reach`` under the links ``tails[k] -> heads[k]``.
+
+    Each round marks, in every row at once, the heads of the links whose
+    tail is marked and whose head is not, until no link adds a node.
+    ``reach`` is updated in place and returned.
+    """
+    while True:
+        rows, links = np.nonzero(reach[:, tails] & ~reach[:, heads])
+        if not rows.size:
+            return reach
+        reach[rows, heads[links]] = True
 
 
 def classify(g: Digraph) -> ConnectivityReport:
@@ -320,7 +326,8 @@ def classify(g: Digraph) -> ConnectivityReport:
     several root components; DISCONNECTED otherwise.  A graph is balanced
     when every node's received gain sum equals its transmitted gain sum.
     The graph is immutable, so the report is computed once, stored on it
-    and shared (with a read-only ``influence``) by every later call.
+    and shared (with read-only ``influence`` and ``reach``) by every later
+    call.
     """
     cached = getattr(g, "_report", None)
     if cached is not None:
@@ -328,12 +335,19 @@ def classify(g: Digraph) -> ConnectivityReport:
     sccs, condensation = scc_decompose(g)
     heard_from_outside = {b for (_a, b) in condensation}
     root_sccs = tuple(i for i in range(len(sccs)) if i not in heard_from_outside)
+    reach = np.zeros((len(root_sccs), g.n), dtype=bool)
+    for k, ri in enumerate(root_sccs):
+        reach[k, list(sccs[ri])] = True
+    _spread(g.src, g.dst, reach)
+    reach.flags.writeable = False
 
     if len(sccs) == 1:
         kind = ConnectivityClass.SC
     elif len(root_sccs) == 1:
         kind = ConnectivityClass.QSC_NOT_SC
-    elif _weakly_connected(g):
+    # Weakly connected: node 0 reaches every node once each link runs both ways.
+    elif _spread(np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src]),
+                 np.eye(1, g.n, dtype=bool)).all():
         kind = ConnectivityClass.WC_NOT_QSC
     else:
         kind = ConnectivityClass.DISCONNECTED
@@ -356,6 +370,7 @@ def classify(g: Digraph) -> ConnectivityReport:
         root_sccs=root_sccs,
         balanced=balanced,
         influence=influence,
+        reach=reach,
     )
     object.__setattr__(g, "_report", report)
     return report

@@ -572,6 +572,21 @@ def test_debias_zero_rate_ring(zero_rate_ring_files, capsys):
     assert abs(json.loads(out)["estimate"]) < 1e-9
 
 
+@pytest.mark.parametrize("command", ["simulate", "debias"])
+def test_horizon_too_large_to_allocate_is_a_usage_error(zero_rate_ring_files, tmp_path,
+                                                         capsys, command):
+    # 10**15 steps of 3 states need 24 PB, beyond any address space.
+    graph, params = zero_rate_ring_files
+    code, out, err = run_cli(
+        [command, "--graph", graph, "--params", params, "--horizon", 10**15,
+         "--out", tmp_path / "out"], capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_predict_rejects_lags_beyond_int64(zero_rate_ring_files, capsys):
     graph, params = zero_rate_ring_files
     code, out, err = run_cli(

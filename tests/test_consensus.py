@@ -17,7 +17,6 @@ from selfsync import (
     Edge,
     NodeParams,
     SimConfig,
-    apply_decision,
     centralized_ml,
     classify,
     debias_two_step,
@@ -292,9 +291,8 @@ def test_decision_rule_parse_and_apply():
     rule = DecisionRule.parse("threshold:0.5")
     assert rule(0.5) == 1.0 and rule(0.49) == 0.0
 
-    stat = apply_decision(DecisionRule.parse("threshold:0"), -0.2)
-    assert stat.value == 0.0 and stat.raw == -0.2
-    assert apply_decision(DecisionRule.parse("threshold:0"), 0.3).value == 1.0
+    assert DecisionRule.parse("threshold:0")(-0.2) == 0.0
+    assert DecisionRule.parse("threshold:0")(0.3) == 1.0
 
     with pytest.raises(ValueError):
         DecisionRule.parse("median")
@@ -309,8 +307,7 @@ def test_exp_decision_yields_geometric_mean():
     params = NodeParams(weights=[1.0, 1.0], stats=np.log([1.0, 4.0]))
     cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=6000)
     result = debias_two_step(g, params, cfg, DebiasMode.SIMULATED)
-    stat = apply_decision(DecisionRule.parse("exp"), result.estimate)
-    assert stat.value == pytest.approx(2.0, rel=1e-9)
+    assert DecisionRule.parse("exp")(result.estimate) == pytest.approx(2.0, rel=1e-9)
 
 
 # === ML weighting ===

@@ -21,6 +21,7 @@ from selfsync import (
     laplacian,
     left_null_vector,
     load_graph,
+    preset_network,
     save_graph,
     scc_decompose,
 )
@@ -246,9 +247,31 @@ def test_classify_report_is_shared_and_read_only():
     assert classify(g) is report
     with pytest.raises(ValueError):
         report.influence[0] = 5.0
+    with pytest.raises(ValueError):
+        report.reach[0, 2] = False
     gamma = left_null_vector(g)
     gamma[0] = 5.0
     assert classify(g).influence[0] != 5.0
+
+
+@pytest.mark.parametrize("kind", [ConnectivityClass.DISCONNECTED, ConnectivityClass.WC_NOT_QSC])
+def test_tarjan_runs_once_per_classification(kind, monkeypatch):
+    from selfsync import digraph
+
+    calls = []
+    tarjan = digraph._tarjan_components
+
+    def counted(n, succ):
+        calls.append(n)
+        return tarjan(n, succ)
+
+    monkeypatch.setattr(digraph, "_tarjan_components", counted)
+    if kind is ConnectivityClass.DISCONNECTED:
+        g = Digraph(3, ())
+    else:
+        g = preset_network("forest", delay_s=0.0)[0]
+    assert classify(g).kind is kind
+    assert len(calls) == 1
 
 
 def test_failed_classification_is_not_cached(monkeypatch):

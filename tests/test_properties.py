@@ -33,7 +33,7 @@ from selfsync import (
 )
 from selfsync import consensus
 
-from _oracles import brute_root_union, euler_reference
+from _oracles import brute_reach, brute_root_union, euler_reference
 
 props = settings(deadline=None, max_examples=60)
 
@@ -219,6 +219,41 @@ def test_influence_is_a_left_null_vector_on_the_roots(g, rnd):
         assert np.max(np.abs(gamma @ lap)) <= 1e-10 * scale
         assert np.all(gamma >= 0.0)
         assert set(np.flatnonzero(gamma > 0.0)) == brute_root_union(g.n, adj)
+
+
+def _two_cycle_line(pairs: int, *, both_ends: bool = False) -> Digraph:
+    """2-cycles {2i, 2i+1} in a line, each hearing the one before it.
+
+    With ``both_ends`` the second half of the line runs the other way, so
+    the two end cycles are roots and the middle cycle hears both.
+    """
+    edges = [Edge(a, b, 1.0, 0.0) for i in range(pairs) for a, b in
+             ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))]
+    for i in range(1, pairs):
+        later = both_ends and i > pairs // 2
+        edges.append(Edge(2 * i - 1, 2 * i, 1.0, 0.0) if later else Edge(2 * i, 2 * i - 1, 1.0, 0.0))
+    return Digraph(2 * pairs, edges)
+
+
+@props
+@given(graphs())
+@example(_two_cycle_line(15))
+@example(_two_cycle_line(15, both_ends=True))
+def test_reach_and_cluster_membership_match_the_oracle(g):
+    adj = g.gain_matrix() > 0
+    oracle = brute_reach(g.n, adj)
+    report = classify(g)
+    roots = report.root_nodes()
+    assert set().union(*roots) == brute_root_union(g.n, adj)
+    rows = np.array([oracle[nodes[0]] for nodes in roots])
+    assert np.array_equal(report.reach, rows)
+    owners = rows.sum(axis=0)
+    pred = predict(g, NodeParams(weights=np.ones(g.n), stats=np.arange(g.n, dtype=float)), 30.0)
+    assert [c.root for c in pred.clusters] == list(roots)
+    assert [c.members for c in pred.clusters] == [
+        tuple(np.flatnonzero(row & (owners == 1)).tolist()) for row in rows
+    ]
+    assert pred.unresolved == tuple(np.flatnonzero(owners > 1).tolist())
 
 
 @props
