@@ -121,8 +121,11 @@ class Digraph:
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise GraphFormatError("dst, src, gain and delay_s must be 1-d and equally long")
         dst, src, gain, delay_s = cols
-        repeated = np.ones(dst.size, dtype=bool)
-        repeated[np.unique(dst * n + src, return_index=True)[1]] = False
+        keys = dst * n + src
+        repeated = np.zeros(dst.size, dtype=bool)
+        if np.any(np.diff(np.sort(keys)) == 0):  # only then find which edge repeats first
+            repeated[:] = True
+            repeated[np.unique(keys, return_index=True)[1]] = False
         for bad, what in (
             ((dst < 0) | (dst >= n) | (src < 0) | (src >= n), f"is out of range for n={n}"),
             (dst == src, "is a self-loop"),
@@ -134,8 +137,7 @@ class Digraph:
                 k = int(np.argmax(bad))
                 raise GraphFormatError(f"edge (dst={dst[k]}, src={src[k]}) {what}")
         object.__setattr__(self, "n", n)
-        for name, col in zip(_COLUMNS, cols):
-            col = col.copy()
+        for name, col in zip(_COLUMNS, cols):  # astype made each column a copy
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
@@ -183,7 +185,7 @@ class ConnectivityClass(str, Enum):
     DISCONNECTED = "DISCONNECTED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectivityReport:
     """Structural summary of a digraph.
 
@@ -205,6 +207,13 @@ class ConnectivityReport:
     balanced: bool
     influence: np.ndarray
     reach: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConnectivityReport):
+            return NotImplemented
+        plain = ("kind", "sccs", "condensation", "root_sccs", "balanced")
+        return all(getattr(self, f) == getattr(other, f) for f in plain) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("influence", "reach"))
 
     @property
     def n(self) -> int:
@@ -233,52 +242,51 @@ def laplacian(g: Digraph) -> np.ndarray:
 
 
 def _tarjan_components(n: int, succ: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan SCC over successor lists; components sorted by min node."""
+    """Iterative Tarjan SCC over successor lists; components sorted by min node.
+
+    Each stack frame holds a node and an iterator over its list, so a
+    frame resumes where its last descent left off.  A finished node's
+    ``order`` is set to ``n``, above every ``low``, so later visits skip it.
+    """
     order = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
     for start in range(n):
         if order[start] != -1:
             continue
-        work: list[list[int]] = [[start, 0]]
+        order[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        work = [(start, iter(succ[start]))]
         while work:
-            v, child_idx = work[-1]
-            if child_idx == 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            children = succ[v]
-            end = len(children)
-            while child_idx < end:
-                w = children[child_idx]
-                child_idx += 1
-                if order[w] == -1:
-                    work[-1][1] = child_idx
-                    work.append([w, 0])
-                    descended = True
+            v, kids = work[-1]
+            for w in kids:
+                seen = order[w]
+                if seen == -1:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
+                if seen < low[v]:
+                    low[v] = seen
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = sorted(stack[at:])
+                    del stack[at:]
+                    for w in comp:
+                        order[w] = n
+                    comps.append(comp)
     comps.sort(key=lambda c: c[0])
     return comps
 
@@ -290,17 +298,19 @@ def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[
     ordered by smallest member and ``condensation`` contains deduplicated
     edges ``(a, b)``: some node in component ``b`` hears some node in
     component ``a``.  The condensation is acyclic by construction.
+    Tarjan runs on the reversed graph, which has the same components:
+    each node's list is the nodes it hears, cut from one array of sources
+    sorted by listener (generated graphs are sorted already).
     """
-    order = np.argsort(g.src, kind="stable")
-    bounds = np.cumsum(np.bincount(g.src, minlength=g.n))[:-1]
-    succ = [part.tolist() for part in np.split(g.dst[order], bounds)]
-    comps = _tarjan_components(g.n, succ)
+    heard = g.src[np.argsort(g.dst, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(g.dst, minlength=g.n)).tolist()
+    comps = _tarjan_components(g.n, [heard[a:b] for a, b in zip([0] + ends, ends)])
+    k = len(comps)
     comp_of = np.empty(g.n, dtype=np.int64)
-    for idx, comp in enumerate(comps):
-        comp_of[comp] = idx
-    flow = np.stack([comp_of[g.src], comp_of[g.dst]], axis=1)
-    cond = np.unique(flow[flow[:, 0] != flow[:, 1]], axis=0)
-    return tuple(map(tuple, comps)), tuple(map(tuple, cond.tolist()))
+    comp_of[[v for comp in comps for v in comp]] = np.repeat(np.arange(k), list(map(len, comps)))
+    a, b = comp_of[g.src], comp_of[g.dst]
+    cond = np.divmod(np.unique((a * k + b)[a != b]), k)
+    return tuple(map(tuple, comps)), tuple(zip(*(c.tolist() for c in cond)))
 
 
 def _spread(tails: np.ndarray, heads: np.ndarray, reach: np.ndarray) -> np.ndarray:

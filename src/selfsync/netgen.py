@@ -121,15 +121,20 @@ def place_nodes(cfg: RadioConfig) -> np.ndarray:
 
 
 def _distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    # The same bits as summing the squared coordinate differences.
+    dx, dy = (col[:, None] - col[None, :] for col in np.asarray(positions, dtype=float).T)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def solved_wave_speed(cfg: RadioConfig, positions: np.ndarray) -> float:
     """Wave speed actually used for this geometry (see ``delay_span_s``)."""
+    return _wave_speed(cfg, _distances(positions))
+
+
+def _wave_speed(cfg: RadioConfig, dist: np.ndarray) -> float:
+    """:func:`solved_wave_speed` from the pairwise distance matrix."""
     if cfg.delay_span_s is None:
         return cfg.wave_speed
-    dist = _distances(positions)
     d_max = float(dist.max())
     if cfg.delay_span_s == 0.0:
         return float("inf")
@@ -166,14 +171,13 @@ def build_channel(cfg: RadioConfig, positions: np.ndarray) -> Digraph:
         draws = _rng(cfg.seed, _FADING_TAG).rayleigh(scale=1.0, size=(cfg.n, cfg.n))
         amp = draws * scale
 
-    wave = solved_wave_speed(cfg, positions)
+    wave = _wave_speed(cfg, dist)
     prop = dist / wave if np.isfinite(wave) else np.zeros_like(dist)
 
-    # np.nonzero walks the matrix in row-major order.
-    dst, src = np.nonzero(off_diag & (amp >= cfg.hear_threshold) & (amp > 0.0))
-    return Digraph.from_arrays(
-        cfg.n, dst, src, amp[dst, src], cfg.delay_offset_s + prop[dst, src]
-    )
+    # np.nonzero and boolean indexing both walk the matrix in row-major order.
+    heard = off_diag & (amp >= cfg.hear_threshold) & (amp > 0.0)
+    dst, src = np.nonzero(heard)
+    return Digraph.from_arrays(cfg.n, dst, src, amp[heard], cfg.delay_offset_s + prop[heard])
 
 
 def _attempt_seed(seed: int, attempt: int) -> int:

@@ -12,11 +12,15 @@ def brute_reach(n: int, adj: np.ndarray) -> np.ndarray:
     """reach[r, q] is True when a directed path r -> ... -> q exists.
 
     adj[dst, src] = True means dst hears src, i.e. information flows
-    src -> dst, so one hop extends reach via adj transposed.
+    src -> dst, so one hop extends reach via adj transposed.  The hops
+    stop once one adds nothing, since no later hop can.
     """
     reach = np.eye(n, dtype=bool)
     for _ in range(n):
-        reach = reach | (reach @ adj.T.astype(bool))
+        grown = reach | (reach @ adj.T.astype(bool))
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
     return reach
 
 

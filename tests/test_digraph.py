@@ -254,6 +254,21 @@ def test_classify_report_is_shared_and_read_only():
     assert classify(g).influence[0] != 5.0
 
 
+def test_reports_compare_by_value():
+    def ring(gains):
+        return Digraph(3, [Edge((i + 1) % 3, i, gain, 0.0) for i, gain in enumerate(gains)])
+
+    two = (Edge(0, 1, 1.0, 0.0), Edge(1, 0, 1.0, 0.0))
+    assert classify(Digraph(2, two)) == classify(Digraph(2, two[::-1]))
+    assert classify(ring([1.0, 2.0, 3.0])) == classify(ring([1.0, 2.0, 3.0]))
+    # Same class, components and balance; only the influence differs.
+    assert classify(ring([1.0, 2.0, 3.0])) != classify(ring([1.0, 3.0, 2.0]))
+    assert classify(Digraph(2, two)) != classify(Digraph(2, two[:1]))
+    assert classify(Digraph(2, two)) != "SC"
+    with pytest.raises(TypeError):
+        hash(classify(Digraph(2, two)))
+
+
 @pytest.mark.parametrize("kind", [ConnectivityClass.DISCONNECTED, ConnectivityClass.WC_NOT_QSC])
 def test_tarjan_runs_once_per_classification(kind, monkeypatch):
     from selfsync import digraph

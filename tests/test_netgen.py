@@ -155,6 +155,35 @@ def test_delay_span_solves_wave_speed():
     assert wave == pytest.approx(np.sqrt((diff**2).sum(axis=2)).max() / 0.1, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 40, 200])
+@pytest.mark.parametrize("fading", list(Fading))
+@pytest.mark.parametrize("span", [None, 0.05])
+def test_build_channel_matches_an_independent_computation(n, fading, span):
+    # Pure path loss gives amplitudes 1/d >= 1/sqrt(2) in the unit square,
+    # so its threshold is higher to gate some pairs.
+    threshold = 2.0 if fading is Fading.NONE else 0.3
+    for seed in (0, 1, 2):
+        cfg = RadioConfig(n=n, fading=fading, hear_threshold=threshold, delay_offset_s=1e-3,
+                          delay_span_s=span, wave_speed=40.0, seed=seed)
+        pos = place_nodes(cfg)
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        off_diag = ~np.eye(n, dtype=bool)
+        if fading is Fading.NONE:
+            amp = np.sqrt(1.0 / np.where(off_diag, dist, 1.0) ** 2.0)
+        else:
+            draws = np.random.default_rng(np.random.SeedSequence([seed, 1])).rayleigh(
+                scale=1.0, size=(n, n))
+            amp = draws * np.sqrt(1.0 / (2.0 * (1.0 + dist**2)))
+        wave = 40.0 if span is None else dist.max() / span
+        dst, src = np.nonzero(off_diag & (amp >= threshold))
+        g = build_channel(cfg, pos)
+        assert 0 < dst.size < n * (n - 1)
+        for got, want in ((g.dst, dst), (g.src, src), (g.gain, amp[dst, src]),
+                          (g.delay_s, 1e-3 + dist[dst, src] / wave)):
+            assert np.array_equal(got, want)
+
+
 def test_delay_span_zero_means_no_delay():
     cfg = RadioConfig(n=10, delay_span_s=0.0, seed=3)
     g = build_channel(cfg, place_nodes(cfg))

@@ -29,6 +29,7 @@ from selfsync import (
     debias_two_step,
     laplacian,
     predict,
+    scc_decompose,
     simulate,
 )
 from selfsync import consensus
@@ -254,6 +255,30 @@ def test_reach_and_cluster_membership_match_the_oracle(g):
         tuple(np.flatnonzero(row & (owners == 1)).tolist()) for row in rows
     ]
     assert pred.unresolved == tuple(np.flatnonzero(owners > 1).tolist())
+
+
+def _out_star(leaves: int) -> Digraph:
+    return Digraph(leaves + 1, [Edge(i, 0, 1.0, 0.0) for i in range(1, leaves + 1)])
+
+
+def _chain(n: int) -> Digraph:
+    return Digraph(n, [Edge(i + 1, i, 1.0, 0.0) for i in range(n - 1)])
+
+
+@props
+@given(graphs(), st.randoms(use_true_random=False))
+@example(_out_star(300), random.Random(0))
+@example(_chain(30), random.Random(0))
+@example(_two_cycle_line(15), random.Random(0))
+def test_sccs_and_condensation_match_the_oracle(g, rnd):
+    oracle = brute_reach(g.n, g.gain_matrix() > 0)
+    comps = sorted({tuple(np.flatnonzero(row).tolist()) for row in oracle & oracle.T})
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    flow = {(comp_of[s], comp_of[d]) for d, s in zip(g.dst.tolist(), g.src.tolist())}
+    assert scc_decompose(g) == (tuple(comps), tuple(sorted((a, b) for a, b in flow if a != b)))
+    perm = rnd.sample(range(g.dst.size), g.dst.size)
+    shuffled = Digraph.from_arrays(g.n, g.dst[perm], g.src[perm], g.gain[perm], g.delay_s[perm])
+    assert classify(shuffled) == classify(g)
 
 
 @props
