@@ -367,11 +367,9 @@ def classify(g: Digraph) -> ConnectivityReport:
     scale = max(1.0, float(received.max(initial=0.0)))
     balanced = bool(np.all(np.abs(received - transmitted) <= 1e-12 * scale))
 
-    lap = laplacian(g)
     influence = np.zeros(g.n)
-    for ri in root_sccs:
-        nodes = np.asarray(sccs[ri], dtype=int)
-        influence[nodes] = _root_block_null_vector(lap[np.ix_(nodes, nodes)])
+    for nodes, block in _root_blocks(g, [sccs[ri] for ri in root_sccs]):
+        influence[nodes] = _root_block_null_vector(block)
     influence.flags.writeable = False
     report = ConnectivityReport(
         kind=kind,
@@ -384,6 +382,34 @@ def classify(g: Digraph) -> ConnectivityReport:
     )
     object.__setattr__(g, "_report", report)
     return report
+
+
+def _root_blocks(g: Digraph, roots: "list[tuple[int, ...]]"):
+    """Yield each root component's node array and its Laplacian block.
+
+    A root component hears no node outside itself, so every link into it
+    starts inside it, and its rows of ``L`` vanish outside its own block.
+    Each block is assembled from those links alone, so no ``n x n`` matrix
+    is built unless one root holds every node (a strongly connected
+    graph), whose block is the whole ``laplacian(g)``.
+    """
+    if len(roots) == 1 and len(roots[0]) == g.n:
+        yield np.arange(g.n), laplacian(g)
+        return
+    owner = np.full(g.n, -1)
+    pos = np.zeros(g.n, dtype=np.int64)
+    for k, nodes in enumerate(roots):
+        owner[list(nodes)] = k
+        pos[list(nodes)] = np.arange(len(nodes))
+    into = owner[g.dst]
+    links = np.flatnonzero(into >= 0)
+    links = links[np.argsort(into[links], kind="stable")]
+    ends = np.cumsum(np.bincount(into + 1, minlength=len(roots) + 1)[1:])
+    for nodes, start, stop in zip(roots, [0, *ends[:-1]], ends):
+        cut = links[start:stop]
+        a = np.zeros((len(nodes), len(nodes)))
+        a[pos[g.dst[cut]], pos[g.src[cut]]] = g.gain[cut]
+        yield np.asarray(nodes, dtype=int), np.diag(a.sum(axis=1)) - a
 
 
 def _pinned_solve(block: np.ndarray, pin: int) -> np.ndarray:
@@ -441,9 +467,13 @@ def left_null_vector(g: Digraph) -> np.ndarray:
     ``max|gamma @ L| <= 1e-10 * norm_inf(L)``.
     """
     gamma = classify(g).influence.copy()
-    lap = laplacian(g)
-    lap_norm = float(np.max(np.abs(lap).sum(axis=1)))
-    resid = float(np.max(np.abs(gamma @ lap)))
+    # Column j of gamma @ L, summed over the edges: gamma_j * received_j
+    # minus the gamma-weighted gains node j sends.  Row i of |L| sums to
+    # twice the gain node i receives, since the graph has no self-loops.
+    received = np.bincount(g.dst, weights=g.gain, minlength=g.n)
+    sent = np.bincount(g.src, weights=gamma[g.dst] * g.gain, minlength=g.n)
+    lap_norm = 2.0 * float(received.max())
+    resid = float(np.max(np.abs(gamma * received - sent)))
     if resid > NULL_RESIDUAL_RTOL * max(lap_norm, 1e-300):
         raise NullSpaceError(
             f"left null vector residual {resid:.3e} exceeds tolerance for norm {lap_norm:.3e}"

@@ -13,6 +13,8 @@ math consuming these trajectories lives in :mod:`selfsync.consensus`.
 """
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -157,7 +159,6 @@ class DelayQuantization:
 
     lags: np.ndarray
     m_max: int
-    step_s: float
 
 
 def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
@@ -174,7 +175,7 @@ def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
     if not np.all(steps < 2.0**63):
         raise ValueError(f"delays up to {g.delay_s.max()} s exceed 2**63 steps of {step_s} s")
     lags = steps.astype(np.int64)
-    return DelayQuantization(lags=lags, m_max=int(lags.max(initial=0)), step_s=step_s)
+    return DelayQuantization(lags=lags, m_max=int(lags.max(initial=0)))
 
 
 @dataclass(frozen=True)
@@ -331,16 +332,69 @@ def detect_consensus(traj: Trajectory) -> ConsensusVerdict:
     return ConsensusVerdict(kind=kind, omega=omega, groups=groups, unsettled=unsettled)
 
 
-def _csv_lines(*columns: np.ndarray):
-    """Yield rows of the side-by-side columns as CSV lines at full precision.
+def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> str:
+    """CSV text of rows ``start .. start + _CSV_BLOCK_ROWS`` of the side-by-side columns.
 
-    Rows are formatted in blocks, so a long trajectory is never held as
-    text all at once.
+    Every value is written at full precision, as its ``repr``.
     """
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
-        for row in block.tolist():
-            yield ",".join(map(repr, row))
+    block = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
+    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+
+
+# The columns a pool worker formats, inherited from the writer at fork.
+_worker_columns: "tuple[np.ndarray, ...]" = ()
+
+
+def _adopt_columns(columns: "tuple[np.ndarray, ...]") -> None:
+    global _worker_columns
+    _worker_columns = columns
+
+
+def _worker_block(start: int) -> str:
+    return _csv_block(_worker_columns, start)
+
+
+def _csv_workers(blocks: int) -> int:
+    """Worker processes for ``blocks`` row blocks; below 2 the writer formats in-process.
+
+    Workers are forked, so that they inherit the columns; forking a process
+    that runs other threads is unsafe, so such a process gets none.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, blocks)
+    if workers < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]") -> None:
+    """Write ``header`` and the rows of the side-by-side columns at full precision.
+
+    Row blocks are formatted by up to one forked worker process per usable
+    CPU and written in order as they arrive, so the bytes do not depend on
+    the worker count and the whole text is never held in memory.
+    """
+    starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
+    workers = _csv_workers(len(starts))
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        if workers < 2:
+            for start in starts:
+                f.write(_csv_block(columns, start))
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        f.flush()  # leave no buffered text for a forked worker to copy
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt_columns, initargs=(columns,))
+        try:
+            for text in pool.map(_worker_block, starts):
+                f.write(text)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def write_trajectory_csv(traj: Trajectory, path: "str | Path") -> None:
@@ -349,6 +403,4 @@ def write_trajectory_csv(traj: Trajectory, path: "str | Path") -> None:
     header = "t," + ",".join(f"x_{i}" for i in range(n)) + "," + ",".join(
         f"xdot_{i}" for i in range(n)
     )
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        f.writelines(line + "\n" for line in _csv_lines(traj.times, traj.states, traj.derivs))
+    _write_csv(path, header, (traj.times, traj.states, traj.derivs))

@@ -25,7 +25,7 @@ from .dynamics import (
     NodeParams,
     SimConfig,
     Trajectory,
-    _csv_lines,
+    _write_csv,
     detect_consensus,
     simulate,
 )
@@ -220,15 +220,13 @@ class McSummary:
 
     def write_csv(self, path: "str | Path") -> None:
         header = "step,mean_a,mean_b,mean_c,mean_d,std_a,std_b,std_c,std_d"
-        cols = [
+        # As objects, the steps stay integers when stacked with the floats.
+        cols = (
+            self.steps.astype(object),
             self.mean_a, self.mean_b, self.mean_c, self.mean_d,
             self.std_a, self.std_b, self.std_c, self.std_d,
-        ]
-        with open(path, "w") as f:
-            f.write(header + "\n")
-            f.writelines(
-                f"{step},{line}\n" for step, line in zip(self.steps.tolist(), _csv_lines(*cols))
-            )
+        )
+        _write_csv(path, header, cols)
 
     def summary_dict(self) -> dict:
         se = self.runs**0.5

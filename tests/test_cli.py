@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsync import cli, load_graph
+from selfsync import cli, dynamics, load_graph
 from selfsync.cli import main
 
 
@@ -801,3 +802,20 @@ def test_cli_fuzz_exit_codes_without_tracebacks(invocation):
             code = main([arg.format(**paths) for arg in argv])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_crashed_csv_worker_is_a_one_line_usage_error(chain_files, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def die(columns, start):
+        if os.getpid() == parent:
+            raise AssertionError("the writer formatted in-process")
+        os._exit(1)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(dynamics, "_csv_block", die)
+    graph, params = chain_files
+    code, _, err = run_cli(["simulate", "--graph", graph, "--params", params,
+                            "--horizon", 3000, "--out", tmp_path / "t.csv"], capsys)
+    assert code == 1
+    assert err.startswith("usage error: cannot write") and err.count("\n") == 1

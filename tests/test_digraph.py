@@ -7,6 +7,7 @@ code with the implementation: exhaustively for every unit-gain digraph on
 """
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from selfsync import (
     save_graph,
     scc_decompose,
 )
-from selfsync.digraph import _root_block_null_vector
+from selfsync.digraph import _root_block_null_vector, _root_blocks
 
 
 from _oracles import brute_class, brute_root_union, graph_from_adj
@@ -218,6 +219,37 @@ def test_influence_root_blocks_unit_norm():
     gamma = rep.influence
     assert np.isclose(np.linalg.norm(gamma[[0, 1]]), 1.0, rtol=0, atol=1e-12)
     assert np.isclose(np.linalg.norm(gamma[[2, 3]]), 1.0, rtol=0, atol=1e-12)
+
+
+def test_root_blocks_are_the_laplacian_cut_to_each_root():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        adj = (rng.random((n, n)) < rng.choice([0.2, 0.5])) & ~np.eye(n, dtype=bool)
+        g = graph_from_adj(adj, rng.uniform(0.1, 3.0, size=(n, n)))
+        rep = classify(g)
+        lap = laplacian(g)
+        roots = [rep.sccs[i] for i in rep.root_sccs]
+        for nodes, block in _root_blocks(g, roots):
+            want = lap[np.ix_(nodes, nodes)]
+            if rep.kind is ConnectivityClass.SC:
+                assert np.array_equal(block, want)
+            assert np.allclose(block, want, rtol=1e-15, atol=0)
+
+
+def test_wide_out_star_needs_no_dense_laplacian():
+    # One root node heard by 3000 leaves: a dense Laplacian alone is 72 MB.
+    leaves = np.arange(1, 3001)
+    g = Digraph.from_arrays(3001, leaves, np.zeros_like(leaves), np.ones(3000), np.zeros(3000))
+    tracemalloc.start()
+    try:
+        classify(g)
+        gamma = left_null_vector(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert gamma[0] == 1.0 and not gamma[1:].any()
 
 
 def test_null_space_error_on_defective_block():

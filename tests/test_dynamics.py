@@ -8,10 +8,15 @@ tau = 0.5 gives the rate 2/3.
 """
 import csv
 import io
+import multiprocessing
+import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsync import (
     ConsensusVerdict,
@@ -29,6 +34,7 @@ from selfsync import (
     quantize_delays,
     simulate,
 )
+from selfsync import dynamics
 from selfsync.dynamics import WINDOW
 
 
@@ -335,3 +341,50 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert vals[0] == traj.times[k]
         assert vals[1] == traj.states[k, 0] and vals[2] == traj.states[k, 1]
         assert vals[3] == traj.derivs[k, 0] and vals[4] == traj.derivs[k, 1]
+
+
+# Extremes of the float format: signed zero, the smallest subnormal, the
+# largest finite values, and the switches between fixed and exponent form.
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7)
+# One CPU forces the in-process path; two force the worker pool.
+CPU_SETS = pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pooled"])
+
+
+@CPU_SETS
+@settings(deadline=None, max_examples=12)
+@given(rows=st.sampled_from([1, 1023, 1024, 1025, 2049]),
+       n=st.integers(1, 3),
+       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, pool, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(pool + list(SPECIAL_FLOATS)), size=(rows, 1 + 2 * n))
+    traj = Trajectory(1e-3, values[:, 0], values[:, 1 : 1 + n], values[:, 1 + n :])
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        traj.write_csv(path)
+    header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"xdot_{i}" for i in range(n)])
+    want = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+    assert path.read_bytes() == (header + "\n" + want).encode()
+    assert multiprocessing.active_children() == []
+
+
+def _die_in_worker(parent: int):
+    """A block formatter that kills the worker process it runs in."""
+    def block(columns, start):
+        if os.getpid() == parent:
+            raise AssertionError("the writer formatted in-process")
+        os._exit(1)
+    return block
+
+
+def test_crashed_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path):
+    traj = Trajectory(1e-3, np.zeros(3000), np.zeros((3000, 2)), np.zeros((3000, 2)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(dynamics, "_csv_block", _die_in_worker(os.getpid()))
+    with pytest.raises(BrokenProcessPool):
+        traj.write_csv(tmp_path / "traj.csv")
+    assert multiprocessing.active_children() == []
