@@ -102,17 +102,11 @@ def _read_json(path: str, what: str) -> dict:
 
 @contextmanager
 def _writing(path):
-    """Report a failure to write an output ``path`` as a usage error.
-
-    A CSV worker process that dies raises ``BrokenProcessPool``, a
-    ``RuntimeError``.
-    """
+    """Report a failure to write an output ``path`` as a usage error."""
     try:
         yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    except RuntimeError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_graph_file(path: str) -> Digraph:

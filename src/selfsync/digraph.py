@@ -391,11 +391,8 @@ def _root_blocks(g: Digraph, roots: "list[tuple[int, ...]]"):
     starts inside it, and its rows of ``L`` vanish outside its own block.
     Each block is assembled from those links alone, so no ``n x n`` matrix
     is built unless one root holds every node (a strongly connected
-    graph), whose block is the whole ``laplacian(g)``.
+    graph), whose block is then exactly ``laplacian(g)``.
     """
-    if len(roots) == 1 and len(roots[0]) == g.n:
-        yield np.arange(g.n), laplacian(g)
-        return
     owner = np.full(g.n, -1)
     pos = np.zeros(g.n, dtype=np.int64)
     for k, nodes in enumerate(roots):

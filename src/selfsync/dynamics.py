@@ -374,7 +374,8 @@ def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]
 
     Row blocks are formatted by up to one forked worker process per usable
     CPU and written in order as they arrive, so the bytes do not depend on
-    the worker count and the whole text is never held in memory.
+    the worker count and the whole text is never held in memory. A worker
+    that dies is reported as an ``OSError``, like any failed write.
     """
     starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
     workers = _csv_workers(len(starts))
@@ -386,6 +387,7 @@ def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]
             return
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         f.flush()  # leave no buffered text for a forked worker to copy
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -393,6 +395,8 @@ def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]
         try:
             for text in pool.map(_worker_block, starts):
                 f.write(text)
+        except BrokenProcessPool as exc:
+            raise OSError(f"a CSV worker process died: {exc}") from exc
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 

@@ -365,6 +365,8 @@ def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, 
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        blocks = -(-rows // dynamics._CSV_BLOCK_ROWS)
+        assert dynamics._csv_workers(blocks) == min(len(cpus), blocks)
         traj.write_csv(path)
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"xdot_{i}" for i in range(n)])
     want = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
@@ -385,6 +387,7 @@ def test_crashed_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path):
     traj = Trajectory(1e-3, np.zeros(3000), np.zeros((3000, 2)), np.zeros((3000, 2)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(dynamics, "_csv_block", _die_in_worker(os.getpid()))
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(OSError, match="CSV worker process died") as err:
         traj.write_csv(tmp_path / "traj.csv")
+    assert isinstance(err.value.__cause__, BrokenProcessPool)
     assert multiprocessing.active_children() == []
