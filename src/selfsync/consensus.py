@@ -16,16 +16,19 @@ two rates cancels the inflation exactly, which is the two-step debias.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .digraph import ConnectivityClass, Digraph, classify
+from .digraph import ConnectivityClass, Digraph, classify, disjoint_union
 from .dynamics import (
+    InitialCondition,
     NodeParams,
     SimConfig,
+    Trajectory,
     VerdictKind,
     detect_consensus,
     quantize_delays,
@@ -196,15 +199,26 @@ def debias_two_step(
     """Cancel the delay bias by normalizing against an all-ones run.
 
     SIMULATED runs the network twice (actual statistics, then all-ones
-    statistics with the same weights) and divides the detected terminal
-    rates; ANALYTIC divides the closed-form rates instead.  The result is
-    independent of the delays.  Requires a single root component driving
-    the network, and a reference rate above ``1e-12`` in magnitude.
+    statistics with the same weights, as one two-copy disjoint union) and
+    divides the detected terminal rates; ANALYTIC divides the closed-form
+    rates instead.  The result is independent of the delays.  Requires a
+    single root component driving the network, and a reference rate above
+    ``1e-12`` in magnitude.
     """
     ones = NodeParams(weights=params.weights, stats=np.ones(params.n))
     if mode is DebiasMode.SIMULATED:
-        omega_stat = _global_rate(simulate(g, params, cfg), "statistic run")
-        omega_ref = _global_rate(simulate(g, ones, cfg), "all-ones run")
+        # Both runs as one 2-copy union, each copy starting from the given
+        # history; detect_consensus scales by the whole run, so each copy is
+        # detected on its own columns.
+        if params.n != g.n:
+            raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
+        history = cfg.init.fill(quantize_delays(g, cfg.step_s).m_max + 1, g.n)
+        pair = NodeParams(weights=np.tile(params.weights, 2),
+                          stats=np.concatenate([params.stats, ones.stats]))
+        both = simulate(disjoint_union([g, g]), pair, dataclasses.replace(
+            cfg, init=InitialCondition.samples(np.hstack([history, history]))))
+        omega_stat = _global_rate(both, slice(0, g.n), "statistic run")
+        omega_ref = _global_rate(both, slice(g.n, 2 * g.n), "all-ones run")
     else:
         pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s)
         pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s)
@@ -224,8 +238,10 @@ def debias_two_step(
     )
 
 
-def _global_rate(traj, label: str) -> float:
-    verdict = detect_consensus(traj)
+def _global_rate(traj: Trajectory, nodes: slice, label: str) -> float:
+    verdict = detect_consensus(Trajectory(step_s=traj.step_s, times=traj.times,
+                                          states=traj.states[:, nodes],
+                                          derivs=traj.derivs[:, nodes]))
     if verdict.kind is not VerdictKind.GLOBAL:
         raise DebiasError(f"{label} did not reach global sync (verdict {verdict.kind.value})")
     return verdict.omega

@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "Edge",
     "Digraph",
+    "disjoint_union",
     "ConnectivityClass",
     "ConnectivityReport",
     "GraphFormatError",
@@ -176,6 +177,26 @@ class Digraph:
         else:
             new = np.asarray(delays, dtype=float)[self.dst, self.src]
         return Digraph.from_arrays(self.n, self.dst, self.src, self.gain, new)
+
+
+def disjoint_union(graphs: "Iterable[Digraph]") -> Digraph:
+    """One graph holding each of ``graphs`` as its own block of nodes.
+
+    Block ``b``'s node ids are offset by the node counts of the blocks
+    before it, and the links keep their order, block by block.  No link
+    joins two blocks, so each block simulates exactly as its graph does.
+    """
+    graphs = tuple(graphs)
+    if not graphs:
+        raise ValueError("disjoint_union needs at least one graph")
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    return Digraph.from_arrays(
+        int(offsets[-1]),
+        np.concatenate([g.dst + off for g, off in zip(graphs, offsets)]),
+        np.concatenate([g.src + off for g, off in zip(graphs, offsets)]),
+        np.concatenate([g.gain for g in graphs]),
+        np.concatenate([g.delay_s for g in graphs]),
+    )
 
 
 class ConnectivityClass(str, Enum):

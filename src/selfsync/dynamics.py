@@ -61,6 +61,9 @@ class SimulationDiverged(RuntimeError):
         super().__init__(message)
         self.step = step
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.step)
+
 
 class StepSizeWarning(UserWarning):
     """The step size is large for the realized coupling strengths."""
@@ -208,18 +211,35 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
     run, raises :class:`SimulationDiverged` naming the first step whose
     derivative is non-finite.
     """
+    ((_, states, derivs),) = _integrate(g, params, cfg, cfg.horizon)
+    times = np.arange(cfg.horizon) * cfg.step_s
+    return Trajectory(step_s=cfg.step_s, times=times, states=states, derivs=derivs)
+
+
+def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
+    """Step the network, yielding ``(start, states, derivs)`` per block of steps.
+
+    Each block holds steps ``start .. start + window`` (the last may be
+    shorter) as views of two buffers that the next block overwrites;
+    between blocks the last ``m_max + 1`` states move to the front as the
+    next block's history.  The arithmetic and its order do not depend on
+    ``window``, so the blocks of any window are the same bits as one block
+    over the whole horizon.  A block with a non-finite derivative raises
+    :class:`SimulationDiverged` naming the first such step.
+    """
     if params.n != g.n:
         raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
     n = g.n
     quant = quantize_delays(g, cfg.step_s)
     m_max = quant.m_max
     horizon = cfg.horizon
+    window = min(window, horizon)
 
     # Links sorted by listener (stably, so each listener keeps its edge
     # order): heard node heard[j] owns the slice first[j] .. first[j + 1].
     order = np.argsort(g.dst, kind="stable")
     dsts, gains, stats = g.dst[order], g.gain[order], params.stats
-    # At step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
+    # At block step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
     taps = ((m_max - quant.lags) * n + g.src)[order]
     first = np.flatnonzero(np.diff(dsts, prepend=-1))
     heard = dsts[first]
@@ -233,31 +253,34 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
             f"step_s * coupling rate reaches {stiffness:.3g} (guard {STIFFNESS_GUARD}); "
             "expect a stiff, possibly inaccurate integration",
             StepSizeWarning,
-            stacklevel=2,
+            stacklevel=3,  # past this generator and the function stepping it
         )
 
-    # Rows 0 .. m_max hold the history at steps -m_max .. 0; row m_max + k
-    # is the state at step k; the final step writes a spare last row.
-    x = np.empty((m_max + horizon + 1, n))
+    # Rows 0 .. m_max hold the history at block steps -m_max .. 0; row
+    # m_max + k is the state at block step k; the block's final step
+    # writes a spare last row.
+    x = np.empty((m_max + window + 1, n))
     x[: m_max + 1] = cfg.init.fill(m_max + 1, n)
     flat = x.reshape(-1)
-    derivs = np.empty((horizon, n))
+    derivs = np.empty((window, n))
     pull = np.zeros(n)
 
-    # Overflow is reported through SimulationDiverged, not numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon):
-            now = x[m_max + k]
-            pull[heard] = np.add.reduceat(gains * flat[k * n :].take(taps), first)
-            derivs[k] = xdot = stats + rate * (pull - inflow * now)
-            x[m_max + k + 1] = now + cfg.step_s * xdot
-
-    bad = np.flatnonzero(~np.isfinite(derivs).all(axis=1))
-    if bad.size:
-        raise SimulationDiverged(f"non-finite derivative at step {bad[0]}", step=int(bad[0]))
-    states = x[m_max : m_max + horizon]
-    times = np.arange(horizon) * cfg.step_s
-    return Trajectory(step_s=cfg.step_s, times=times, states=states, derivs=derivs)
+    for start in range(0, horizon, window):
+        if start:
+            x[: m_max + 1] = x[window:]
+        steps = min(window, horizon - start)
+        # Overflow is reported through SimulationDiverged, not numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                now = x[m_max + k]
+                pull[heard] = np.add.reduceat(gains * flat[k * n :].take(taps), first)
+                derivs[k] = xdot = stats + rate * (pull - inflow * now)
+                x[m_max + k + 1] = now + cfg.step_s * xdot
+        bad = np.flatnonzero(~np.isfinite(derivs[:steps]).all(axis=1))
+        if bad.size:
+            step = start + int(bad[0])
+            raise SimulationDiverged(f"non-finite derivative at step {step}", step=step)
+        yield start, x[m_max : m_max + steps], derivs[:steps]
 
 
 class VerdictKind(str, Enum):

@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import centralized_ml, ml_setup, predict, ConsensusPrediction
-from .digraph import Digraph, Edge
+from .digraph import Digraph, Edge, disjoint_union
 from .dynamics import (
     ConsensusVerdict,
     NodeParams,
     SimConfig,
+    SimulationDiverged,
     Trajectory,
+    _integrate,
     _write_csv,
     detect_consensus,
     simulate,
@@ -48,6 +50,19 @@ __all__ = [
 
 _RUN_TAG = 7
 _NOISE_TAG = 8
+
+# The estimation study simulates consecutive runs as one disjoint union of
+# at most this many links, about 7 default runs (40 nodes, 3 copies of
+# about 1.5k links each).  The default 100-run study took 8.9 s of CPU one
+# run at a time, and 8.7, 6.6, 6.6, 7.7 and 7.2 s at budgets of 2**13 to
+# 2**17 links (medians of 3 on a noisy 2-core host): past 2**15 a step is
+# bound by its links, not by call overhead, and peak RSS grows (64 → 117 MB).
+_PASS_LINKS = 2**15
+# Steps per block of an estimation pass; only the node means of a block are
+# kept, so a pass holds one window of states, not the whole horizon.  On the
+# same 100-run study the whole 3000-step horizon in one block reached a peak
+# RSS of 91 MB against 64 MB with 1024-step blocks, at no gain in time.
+_PASS_WINDOW = 1024
 
 
 def _cycle_edges(nodes: "tuple[int, ...]", gain: float, delay: float) -> list[Edge]:
@@ -253,6 +268,37 @@ def _run_seed(seed: int, tag: int, run: int) -> int:
     return int(np.random.SeedSequence([seed, tag, run]).generate_state(1)[0])
 
 
+def _estimation_pass(runs: "list[tuple[int, Digraph, NodeParams]]", sim_cfg: SimConfig,
+                     curves: "dict[str, np.ndarray]") -> None:
+    """Simulate consecutive runs as one union and fill their curves b, c and d.
+
+    Each run contributes three copies of its network: no delay (b), delayed
+    (c) and the delayed all-ones reference that debiases c into d.  Nodes
+    never mix across copies, so each copy's derivatives equal a separate
+    run's bit for bit; only each copy's node mean is kept, block by block.
+    """
+    graphs, weights, stats = [], [], []
+    for _, g, params in runs:
+        graphs += [g.with_delays(0.0), g, g]
+        weights += [params.weights] * 3
+        stats += [params.stats, params.stats, np.ones(g.n)]
+    union = disjoint_union(graphs)
+    copies = NodeParams(weights=np.concatenate(weights), stats=np.concatenate(stats))
+    first, last, n = runs[0][0], runs[-1][0], runs[0][1].n
+    rows = slice(first, last + 1)
+    try:
+        for start, _, derivs in _integrate(union, copies, sim_cfg, _PASS_WINDOW):
+            cols = slice(start, start + len(derivs))
+            means = derivs.reshape(len(derivs), len(runs), 3, n).mean(axis=3).T
+            curves["b"][rows, cols] = means[0]
+            curves["c"][rows, cols] = means[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                curves["d"][rows, cols] = means[1] / means[2]
+    except SimulationDiverged as exc:
+        which = f"run {first}" if first == last else f"runs {first}-{last}"
+        raise SimulationDiverged(f"{which}: {exc}", step=exc.step) from exc
+
+
 def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummary:
     """Monte Carlo over random sensor networks; returns per-step statistics.
 
@@ -261,17 +307,19 @@ def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummar
     derivative over time for the no-delay network (b), the delayed network
     (c), and the two-step debiased ratio (d) against the centralized
     estimate (a).  A run that cannot reach strong connectivity within the
-    attempt budget aborts with its run index.
+    attempt budget aborts with its run index; a pass that diverges raises
+    :class:`SimulationDiverged` naming its runs and the first non-finite step.
     """
     horizon = cfg.horizon
     sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=horizon)
     amps = np.full(cfg.nodes, float(cfg.amplitude))
     variances = np.full(cfg.nodes, float(cfg.noise_var))
-    ones = np.ones(cfg.nodes)
 
     curves = {key: np.empty((cfg.runs, horizon)) for key in ("a", "b", "c", "d")}
     ml_variance = float(cfg.noise_var / (cfg.nodes * cfg.amplitude**2))
 
+    pending: "list[tuple[int, Digraph, NodeParams]]" = []  # runs of the open pass
+    links = 0
     for run in range(cfg.runs):
         radio = RadioConfig(
             n=cfg.nodes,
@@ -298,27 +346,12 @@ def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummar
         central, _ = centralized_ml(amps, variances, obs)
         curves["a"][run] = central
 
-        # One pass over three disjoint copies: no-delay (b), delayed (c) and
-        # the delayed all-ones reference that debiases c into d.  Nodes
-        # never mix across copies, so each copy's states equal a separate
-        # run's bit for bit.
-        g, n = net.graph, cfg.nodes
-        union = Digraph.from_arrays(
-            3 * n,
-            np.concatenate([g.dst, g.dst + n, g.dst + 2 * n]),
-            np.concatenate([g.src, g.src + n, g.src + 2 * n]),
-            np.tile(g.gain, 3),
-            np.concatenate([np.zeros_like(g.delay_s), g.delay_s, g.delay_s]),
-        )
-        copies = NodeParams(
-            weights=np.tile(params.weights, 3),
-            stats=np.concatenate([params.stats, params.stats, ones]),
-        )
-        means = simulate(union, copies, sim_cfg).derivs.reshape(horizon, 3, n).mean(axis=2)
-        curves["b"][run] = means[:, 0]
-        curves["c"][run] = means[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curves["d"][run] = means[:, 1] / means[:, 2]
+        if pending and links + 3 * net.graph.dst.size > _PASS_LINKS:
+            _estimation_pass(pending, sim_cfg, curves)
+            pending, links = [], 0
+        pending.append((run, net.graph, params))
+        links += 3 * net.graph.dst.size
+    _estimation_pass(pending, sim_cfg, curves)
 
     steps = np.arange(horizon)
     stats = {}

@@ -48,6 +48,9 @@ class GenerationBudgetError(RuntimeError):
         super().__init__(message)
         self.attempts = attempts
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.attempts)
+
 
 @dataclass(frozen=True)
 class RadioConfig:

@@ -236,6 +236,20 @@ def test_mc_estimate_budget_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_mc_estimate_divergence_is_one_line_numerical_failure(tmp_path, capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dynamics.StepSizeWarning)
+        code, printed, err = run_cli(
+            ["mc-estimate", "--nodes", 6, "--runs", 3, "--horizon", 2000,
+             "--coupling", 2000, "--seed", 3, "--out", tmp_path / "mc.csv"], capsys,
+        )
+    assert code == 3
+    assert printed == ""
+    assert err == "numerical failure: runs 0-2: non-finite derivative at step 286\n"
+
+
 # === config file merging ===
 
 def test_config_supplies_defaults_flags_override(chain_files, tmp_path, capsys):

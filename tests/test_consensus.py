@@ -15,15 +15,18 @@ from selfsync import (
     DegenerateDebiasError,
     Digraph,
     Edge,
+    InitialCondition,
     NodeParams,
     SimConfig,
     centralized_ml,
     classify,
     debias_two_step,
+    detect_consensus,
     laplacian,
     left_null_vector,
     ml_setup,
     predict,
+    simulate,
 )
 from selfsync.consensus import PREDICTION_SCHEMA
 
@@ -237,6 +240,25 @@ def test_debias_simulated_matches_analytic():
         sim = debias_two_step(g, params, cfg, DebiasMode.SIMULATED)
         ana = debias_two_step(g, params, cfg, DebiasMode.ANALYTIC)
         assert sim.estimate == pytest.approx(ana.estimate, rel=1e-7)
+
+
+def test_debias_simulated_equals_two_separate_runs():
+    # The two runs share one union; each must read as its own run, bit for
+    # bit, from zero, constant and sampled initial histories.
+    rng = np.random.default_rng(29)
+    n = 5
+    g = random_qsc_graph(rng, n).with_delays(rng.uniform(0.0, 0.03, size=(n, n)))
+    params = NodeParams(weights=rng.uniform(1.0, 2.0, n), stats=rng.uniform(0.5, 2.0, n))
+    ones = NodeParams(weights=params.weights, stats=np.ones(n))
+    for init in (InitialCondition.zero(), InitialCondition.constant(0.4),
+                 InitialCondition.constant(rng.normal(size=n)),
+                 InitialCondition.samples(rng.normal(size=(40, n)))):
+        cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=6000, init=init)
+        result = debias_two_step(g, params, cfg, DebiasMode.SIMULATED)
+        stat = detect_consensus(simulate(g, params, cfg)).omega
+        ref = detect_consensus(simulate(g, ones, cfg)).omega
+        assert (result.omega_stat, result.omega_reference) == (stat, ref)
+        assert result.estimate == stat / ref
 
 
 def test_debias_simulated_zero_rate_ring():

@@ -22,6 +22,7 @@ from selfsync import (
     ConsensusVerdict,
     Digraph,
     Edge,
+    GenerationBudgetError,
     InitialCondition,
     NodeParams,
     SimConfig,
@@ -216,6 +217,60 @@ def test_divergence_raises_with_step_index():
         with pytest.raises(SimulationDiverged) as info:
             simulate(g, params, cfg)
     assert info.value.step == 324
+
+
+def test_errors_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    for err, attr in ((SimulationDiverged("runs 0-2: non-finite derivative at step 7", step=7),
+                       "step"),
+                      (GenerationBudgetError("run 3: no SC graph in 64 attempts", attempts=64),
+                       "attempts")):
+        for twin in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert type(twin) is type(err)
+            assert str(twin) == str(err)
+            assert getattr(twin, attr) == getattr(err, attr)
+
+
+# === Windowed kernel ===
+
+def test_integrate_blocks_reproduce_simulate():
+    # m_max = 12; a sampled history that is not flat, and a horizon that no
+    # window below divides evenly.
+    g = Digraph(3, (
+        Edge(1, 0, 1.0, 0.012), Edge(2, 1, 0.8, 0.0), Edge(0, 2, 1.2, 0.007),
+        Edge(0, 1, 0.5, 0.003),
+    ))
+    params = NodeParams(weights=[1.0, 2.0, 1.5], stats=[0.3, -1.0, 2.0])
+    history = np.random.default_rng(4).normal(size=(20, 3))
+    cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=250,
+                    init=InitialCondition.samples(history))
+    m_max = quantize_delays(g, cfg.step_s).m_max
+    assert m_max == 12
+    whole = simulate(g, params, cfg)
+    for window in (1, 7, m_max, cfg.horizon):
+        starts, states, derivs = [], [], []
+        for start, block_states, block_derivs in dynamics._integrate(g, params, cfg, window):
+            starts.append(start)
+            states.append(block_states.copy())
+            derivs.append(block_derivs.copy())
+        assert starts == list(range(0, cfg.horizon, window))
+        assert np.array_equal(np.concatenate(states), whole.states)
+        assert np.array_equal(np.concatenate(derivs), whole.derivs)
+
+
+def test_integrate_names_the_true_step_of_a_later_block():
+    g = mutual_pair()
+    params = NodeParams(weights=[1.0, 1.0], stats=[1.0, -1.0])
+    cfg = SimConfig(coupling=5000.0, step_s=1e-3, horizon=5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        with pytest.raises(SimulationDiverged) as info:
+            for _ in dynamics._integrate(g, params, cfg, 100):
+                pass
+    assert info.value.step == 324
+    assert "step 324" in str(info.value)
 
 
 # === Terminal-rate detector ===

@@ -146,22 +146,16 @@ def test_estimation_study_deterministic():
         assert np.array_equal(getattr(s1, attr), getattr(s2, attr))
 
 
-def test_estimation_study_equals_three_separate_simulations():
-    # The study simulates each run's three networks as one disjoint union;
-    # rebuild every run here with three separate simulate calls instead.
+def _study_runs(cfg):
+    """Each run's graph, params, all-ones params and centralized estimate, drawn
+    from the same seeds as ``run_estimation_study`` draws them."""
     from selfsync import (
-        Fading, NodeParams, RadioConfig, SimConfig, centralized_ml, ensure_connectivity,
-        ml_setup, simulate,
+        Fading, NodeParams, RadioConfig, centralized_ml, ensure_connectivity, ml_setup,
     )
     from selfsync.experiments import _NOISE_TAG, _RUN_TAG, _run_seed
 
-    cfg = EstimationConfig(nodes=6, runs=2, horizon=300, seed=5)
-    summary = run_estimation_study(cfg)
-
-    sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=cfg.horizon)
     amps = np.full(cfg.nodes, cfg.amplitude)
     variances = np.full(cfg.nodes, cfg.noise_var)
-    curves = {key: np.empty((cfg.runs, cfg.horizon)) for key in "abcd"}
     for run in range(cfg.runs):
         radio = RadioConfig(
             n=cfg.nodes, area_side=1.0, tx_power=cfg.tx_power,
@@ -174,13 +168,75 @@ def test_estimation_study_equals_three_separate_simulations():
         obs = amps * cfg.truth + noise.normal(0.0, np.sqrt(variances))
         params = ml_setup(amps, variances, obs)
         reference = NodeParams(weights=params.weights, stats=np.ones(cfg.nodes))
-        curves["a"][run] = centralized_ml(amps, variances, obs)[0]
-        curves["b"][run] = simulate(g.with_delays(0.0), params, sim_cfg).derivs.mean(axis=1)
-        curves["c"][run] = simulate(g, params, sim_cfg).derivs.mean(axis=1)
-        curves["d"][run] = curves["c"][run] / simulate(g, reference, sim_cfg).derivs.mean(axis=1)
-    for key, mat in curves.items():
-        assert np.array_equal(getattr(summary, f"mean_{key}"), mat.mean(axis=0))
-        assert np.array_equal(getattr(summary, f"finals_{key}"), mat[:, -1])
+        yield g, params, reference, centralized_ml(amps, variances, obs)[0]
+
+
+def _record_passes(monkeypatch, links: int, window: int) -> list:
+    """Patch the pass budget and window; return the list each pass's runs go to."""
+    from selfsync import experiments
+
+    real_pass = experiments._estimation_pass
+    passes = []
+    monkeypatch.setattr(experiments, "_PASS_LINKS", links)
+    monkeypatch.setattr(experiments, "_PASS_WINDOW", window)
+    monkeypatch.setattr(experiments, "_estimation_pass", lambda runs, *rest: (
+        passes.append([run for run, _, _ in runs]), real_pass(runs, *rest)))
+    return passes
+
+
+def test_estimation_study_equals_three_separate_simulations(monkeypatch):
+    # The study simulates consecutive runs' three networks as disjoint unions,
+    # a window of steps at a time; rebuild every run here with three separate
+    # simulate calls instead.  The second input spans three passes (link
+    # budget patched down) with a horizon that its window does not divide.
+    from selfsync import SimConfig, simulate
+    from selfsync import experiments
+
+    for cfg, links, window, want_passes in (
+        (EstimationConfig(nodes=6, runs=2, horizon=300, seed=5),
+         experiments._PASS_LINKS, experiments._PASS_WINDOW, [[0, 1]]),
+        (EstimationConfig(nodes=6, runs=5, horizon=300, seed=6), 200, 64,
+         [[0, 1], [2, 3], [4]]),
+    ):
+        passes = _record_passes(monkeypatch, links, window)
+        summary = run_estimation_study(cfg)
+        assert passes == want_passes
+
+        sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=cfg.horizon)
+        curves = {key: np.empty((cfg.runs, cfg.horizon)) for key in "abcd"}
+        for run, (g, params, reference, central) in enumerate(_study_runs(cfg)):
+            curves["a"][run] = central
+            curves["b"][run] = simulate(g.with_delays(0.0), params, sim_cfg).derivs.mean(axis=1)
+            curves["c"][run] = simulate(g, params, sim_cfg).derivs.mean(axis=1)
+            curves["d"][run] = curves["c"][run] / simulate(g, reference, sim_cfg).derivs.mean(axis=1)
+        for key, mat in curves.items():
+            assert np.array_equal(getattr(summary, f"mean_{key}"), mat.mean(axis=0))
+            assert np.array_equal(getattr(summary, f"finals_{key}"), mat[:, -1])
+
+
+def test_diverging_pass_names_its_runs_and_the_first_bad_step(monkeypatch):
+    # Two runs per pass, 64-step windows; the first pass diverges in its
+    # fifth window, at the first step any of its six copies would.
+    import warnings
+
+    from selfsync import SimConfig, SimulationDiverged, StepSizeWarning, simulate
+
+    cfg = EstimationConfig(nodes=6, runs=3, horizon=400, coupling=2000.0, seed=3)
+    passes = _record_passes(monkeypatch, 200, 64)
+    sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=cfg.horizon)
+    firsts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        with pytest.raises(SimulationDiverged) as info:
+            run_estimation_study(cfg)
+        for g, params, reference, _ in list(_study_runs(cfg))[:2]:
+            for graph, p in ((g.with_delays(0.0), params), (g, params), (g, reference)):
+                with pytest.raises(SimulationDiverged) as own:
+                    simulate(graph, p, sim_cfg)
+                firsts.append(own.value.step)
+    assert passes == [[0, 1]]
+    assert 4 * 64 <= info.value.step == min(firsts) < 5 * 64
+    assert str(info.value) == f"runs 0-1: non-finite derivative at step {min(firsts)}"
 
 
 def test_estimation_study_zero_delay_collapses_curves():

@@ -25,8 +25,11 @@ from selfsync import (
     NodeParams,
     SimConfig,
     StepSizeWarning,
+    Trajectory,
     classify,
     debias_two_step,
+    detect_consensus,
+    disjoint_union,
     laplacian,
     predict,
     scc_decompose,
@@ -313,6 +316,45 @@ def test_analytic_debias_is_the_influence_weighted_mean(g, coupling, step_s, see
     gamma = classify(g).influence
     want = float(gamma @ (weights * stats)) / float(gamma @ weights)
     assert result.estimate == pytest.approx(want, rel=1e-12)
+
+
+# Link delays for the union property: zero lag, a few steps, or a lag
+# longer than the whole 260-step run.
+lags = st.one_of(st.just(0.0), st.floats(0.0, 0.02), st.integers(150, 400).map(lambda k: k * 1e-3))
+
+
+@st.composite
+def lagged_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(d, s) for d in range(n) for s in range(n) if d != s]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Digraph(n, [Edge(d, s, draw(gains), draw(lags)) for d, s in chosen])
+
+
+@props
+@given(st.lists(lagged_graphs(), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_disjoint_union_blocks_simulate_as_their_graphs(gs, seed):
+    rng = np.random.default_rng(seed)
+    params = [NodeParams(weights=rng.uniform(1.0, 2.0, g.n), stats=rng.normal(0.0, 1.0, g.n))
+              for g in gs]
+    starts = [rng.normal(0.0, 1.0, g.n) for g in gs]
+    union = disjoint_union(gs)
+    assert union.n == sum(g.n for g in gs)
+    assert union.dst.size == sum(g.dst.size for g in gs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        whole = simulate(union, NodeParams(weights=np.concatenate([p.weights for p in params]),
+                                           stats=np.concatenate([p.stats for p in params])),
+                         SimConfig(30.0, 1e-3, 260, InitialCondition.constant(np.concatenate(starts))))
+        lo = 0
+        for g, p, x0 in zip(gs, params, starts):
+            own = simulate(g, p, SimConfig(30.0, 1e-3, 260, InitialCondition.constant(x0)))
+            block = Trajectory(whole.step_s, whole.times, whole.states[:, lo:lo + g.n],
+                               whole.derivs[:, lo:lo + g.n])
+            assert np.array_equal(block.states, own.states)
+            assert np.array_equal(block.derivs, own.derivs)
+            assert detect_consensus(block) == detect_consensus(own)
+            lo += g.n
 
 
 @settings(deadline=None, max_examples=30)
