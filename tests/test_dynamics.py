@@ -216,7 +216,12 @@ def test_divergence_raises_with_step_index():
         warnings.simplefilter("ignore", StepSizeWarning)
         with pytest.raises(SimulationDiverged) as info:
             simulate(g, params, cfg)
-    assert info.value.step == 324
+        # In 100-step blocks the same step falls in the fourth block.
+        with pytest.raises(SimulationDiverged) as blocked:
+            for _ in dynamics._integrate(g, params, cfg, 100):
+                pass
+    assert info.value.step == blocked.value.step == 324
+    assert str(blocked.value) == "non-finite derivative at step 324"
 
 
 def test_errors_survive_pickle_and_copy():
@@ -258,19 +263,6 @@ def test_integrate_blocks_reproduce_simulate():
         assert starts == list(range(0, cfg.horizon, window))
         assert np.array_equal(np.concatenate(states), whole.states)
         assert np.array_equal(np.concatenate(derivs), whole.derivs)
-
-
-def test_integrate_names_the_true_step_of_a_later_block():
-    g = mutual_pair()
-    params = NodeParams(weights=[1.0, 1.0], stats=[1.0, -1.0])
-    cfg = SimConfig(coupling=5000.0, step_s=1e-3, horizon=5000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        with pytest.raises(SimulationDiverged) as info:
-            for _ in dynamics._integrate(g, params, cfg, 100):
-                pass
-    assert info.value.step == 324
-    assert "step 324" in str(info.value)
 
 
 # === Terminal-rate detector ===
