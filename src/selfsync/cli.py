@@ -50,7 +50,6 @@ from .digraph import (
     load_graph,
 )
 from .dynamics import (
-    InitialCondition,
     NodeParams,
     SimConfig,
     SimulationDiverged,
@@ -208,18 +207,18 @@ def _whole(minimum: int):
     return check
 
 
-def _build_init(text: str, graph: Digraph, step_s: float, seed: int) -> InitialCondition:
+def _build_init(text: str, graph: Digraph, step_s: float, seed: int) -> "float | np.ndarray":
     if text == "zero":
-        return InitialCondition.zero()
+        return 0.0
     if text.startswith("constant:"):
         try:
-            return InitialCondition.constant(float(text.split(":", 1)[1]))
+            return float(text.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"bad constant initial condition {text!r}") from exc
     if text == "random":
-        m_max = quantize_delays(graph, step_s).m_max
+        m_max = int(quantize_delays(graph, step_s).max(initial=0))
         rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_SEED_TAG]))
-        return InitialCondition.samples(rng.normal(0.0, 1.0, size=(m_max + 1, graph.n)))
+        return rng.normal(0.0, 1.0, size=(m_max + 1, graph.n))
     raise UsageError(f"unknown initial condition {text!r}; use zero, constant:<v>, or random")
 
 
@@ -405,7 +404,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except (UsageError, ValueError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError) as exc:
+    except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -25,11 +25,10 @@ import numpy as np
 
 from .digraph import ConnectivityClass, Digraph, classify, disjoint_union
 from .dynamics import (
-    InitialCondition,
     NodeParams,
     SimConfig,
-    Trajectory,
     VerdictKind,
+    _history,
     detect_consensus,
     quantize_delays,
     simulate,
@@ -130,7 +129,7 @@ def predict(
     if quantize_step is None:
         delays = g.delay_s
     else:
-        delays = quantize_delays(g, quantize_step).lags * quantize_step
+        delays = quantize_delays(g, quantize_step) * quantize_step
     delay_load = np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
 
     gamma, reach = report.influence, report.reach
@@ -212,13 +211,14 @@ def debias_two_step(
         # detected on its own columns.
         if params.n != g.n:
             raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
-        history = cfg.init.fill(quantize_delays(g, cfg.step_s).m_max + 1, g.n)
+        m_max = int(quantize_delays(g, cfg.step_s).max(initial=0))
+        history = _history(cfg.init, m_max + 1, g.n)
         pair = NodeParams(weights=np.tile(params.weights, 2),
                           stats=np.concatenate([params.stats, ones.stats]))
         both = simulate(disjoint_union([g, g]), pair, dataclasses.replace(
-            cfg, init=InitialCondition.samples(np.hstack([history, history]))))
-        omega_stat = _global_rate(both, slice(0, g.n), "statistic run")
-        omega_ref = _global_rate(both, slice(g.n, 2 * g.n), "all-ones run")
+            cfg, init=np.hstack([history, history]))).derivs
+        omega_stat = _global_rate(both[:, : g.n], "statistic run")
+        omega_ref = _global_rate(both[:, g.n :], "all-ones run")
     else:
         pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s)
         pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s)
@@ -238,10 +238,8 @@ def debias_two_step(
     )
 
 
-def _global_rate(traj: Trajectory, nodes: slice, label: str) -> float:
-    verdict = detect_consensus(Trajectory(step_s=traj.step_s, times=traj.times,
-                                          states=traj.states[:, nodes],
-                                          derivs=traj.derivs[:, nodes]))
+def _global_rate(derivs: np.ndarray, label: str) -> float:
+    verdict = detect_consensus(derivs)
     if verdict.kind is not VerdictKind.GLOBAL:
         raise DebiasError(f"{label} did not reach global sync (verdict {verdict.kind.value})")
     return verdict.omega
@@ -266,9 +264,12 @@ class DecisionRule:
             return DecisionRule("exp")
         if text.startswith("threshold:"):
             try:
-                return DecisionRule("threshold", float(text.split(":", 1)[1]))
+                level = float(text.split(":", 1)[1])
             except ValueError as exc:
                 raise ValueError(f"bad threshold level in {text!r}") from exc
+            if not math.isfinite(level):
+                raise ValueError(f"threshold level in {text!r} must be finite")
+            return DecisionRule("threshold", level)
         raise ValueError(f"unknown decision rule {text!r}; use identity, exp, or threshold:<level>")
 
     def __call__(self, value: float) -> float:

@@ -240,10 +240,6 @@ class ConnectivityReport:
     def n(self) -> int:
         return int(self.influence.shape[0])
 
-    def root_nodes(self) -> tuple[tuple[int, ...], ...]:
-        """Node tuples of the root components, in ``root_sccs`` order."""
-        return tuple(self.sccs[i] for i in self.root_sccs)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -26,9 +26,7 @@ from .digraph import Digraph
 
 __all__ = [
     "NodeParams",
-    "InitialCondition",
     "SimConfig",
-    "DelayQuantization",
     "Trajectory",
     "VerdictKind",
     "DerivativeGroup",
@@ -94,58 +92,19 @@ class NodeParams:
 
 
 @dataclass(frozen=True)
-class InitialCondition:
-    """Node state history on the delay window ``[-tau_max, 0]``.
-
-    ``zero`` and ``constant`` hold the history flat; ``samples`` supplies
-    explicit rows on the step grid, oldest first, of which the trailing
-    ``m_max + 1`` rows are used.
-    """
-
-    kind: str
-    values: "np.ndarray | None" = None
-
-    @staticmethod
-    def zero() -> "InitialCondition":
-        return InitialCondition("zero")
-
-    @staticmethod
-    def constant(values: "float | np.ndarray") -> "InitialCondition":
-        return InitialCondition("constant", np.atleast_1d(np.asarray(values, dtype=float)))
-
-    @staticmethod
-    def samples(history: np.ndarray) -> "InitialCondition":
-        arr = np.asarray(history, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("sampled history must be a (steps, nodes) array")
-        return InitialCondition("samples", arr)
-
-    def fill(self, rows: int, n: int) -> np.ndarray:
-        """Materialize the history block of shape ``(rows, n)``."""
-        if self.kind == "zero":
-            return np.zeros((rows, n))
-        v = self.values
-        if self.kind == "constant":
-            if v.shape not in ((1,), (n,)):
-                raise ValueError(f"constant initial condition needs 1 or {n} values")
-            return np.broadcast_to(v, (rows, n)).copy()
-        if self.kind == "samples":
-            if v.shape[1] != n:
-                raise ValueError(f"sampled history has {v.shape[1]} columns, expected {n}")
-            if v.shape[0] < rows:
-                raise ValueError(f"sampled history needs at least {rows} rows, got {v.shape[0]}")
-            return v[-rows:].copy()
-        raise ValueError(f"unknown initial condition kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    """Coupling gain, step size, horizon (steps), and initial history."""
+    """Coupling gain, step size, horizon (steps), and initial history.
+
+    ``init`` is the node states on the delay window ``[-tau_max, 0]``.  A
+    scalar, or one value per node, holds the history flat; a ``(steps, n)``
+    array gives rows on the step grid, oldest first, of which the trailing
+    ``m_max + 1`` are used.
+    """
 
     coupling: float
     step_s: float
     horizon: int
-    init: InitialCondition = field(default_factory=InitialCondition.zero)
+    init: "float | np.ndarray" = 0.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.coupling) or self.coupling <= 0:
@@ -154,22 +113,31 @@ class SimConfig:
             raise ValueError("step_s must be finite and positive")
         if not isinstance(self.horizon, int) or self.horizon < 1:
             raise ValueError("horizon must be a positive integer number of steps")
+        init = np.asarray(self.init, dtype=float)
+        if init.ndim > 2 or not np.all(np.isfinite(init)):
+            raise ValueError("init must be finite: a scalar, one value per node, "
+                             "or a (steps, nodes) array")
+        object.__setattr__(self, "init", init)
 
 
-@dataclass(frozen=True)
-class DelayQuantization:
-    """Integer step lag of every link, in the graph's edge order."""
+def _history(init: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """The ``(rows, n)`` history block that a :class:`SimConfig` ``init`` describes."""
+    if init.ndim < 2:
+        if init.size not in (1, n):
+            raise ValueError(f"a flat initial history needs 1 or {n} values, got {init.size}")
+        return np.broadcast_to(init, (rows, n))
+    if init.shape[1] != n or init.shape[0] < rows:
+        raise ValueError(f"initial history of shape {init.shape} needs at least {rows} rows "
+                         f"of {n} columns")
+    return init[-rows:]
 
-    lags: np.ndarray
-    m_max: int
 
+def quantize_delays(g: Digraph, step_s: float) -> np.ndarray:
+    """Integer step lag (int64) of every link, in the graph's edge order.
 
-def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
-    """Round each link delay to an integer number of steps.
-
-    Ties round half to even (so 2.5 steps becomes 2, 3.5 becomes 4).  The
-    same quantization feeds both the simulator and any prediction that
-    must agree with it exactly.
+    Delays are rounded to a whole number of steps, ties half to even (so
+    2.5 steps becomes 2, 3.5 becomes 4).  The same quantization feeds both
+    the simulator and any prediction that must agree with it exactly.
     """
     if step_s <= 0 or not np.isfinite(step_s):
         raise ValueError("step_s must be finite and positive")
@@ -177,8 +145,7 @@ def quantize_delays(g: Digraph, step_s: float) -> DelayQuantization:
         steps = np.rint(g.delay_s / step_s)
     if not np.all(steps < 2.0**63):
         raise ValueError(f"delays up to {g.delay_s.max()} s exceed 2**63 steps of {step_s} s")
-    lags = steps.astype(np.int64)
-    return DelayQuantization(lags=lags, m_max=int(lags.max(initial=0)))
+    return steps.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -230,8 +197,8 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     if params.n != g.n:
         raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
     n = g.n
-    quant = quantize_delays(g, cfg.step_s)
-    m_max = quant.m_max
+    lags = quantize_delays(g, cfg.step_s)
+    m_max = int(lags.max(initial=0))
     horizon = cfg.horizon
     window = min(window, horizon)
 
@@ -240,7 +207,7 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     order = np.argsort(g.dst, kind="stable")
     dsts, gains, stats = g.dst[order], g.gain[order], params.stats
     # At block step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
-    taps = ((m_max - quant.lags) * n + g.src)[order]
+    taps = ((m_max - lags) * n + g.src)[order]
     first = np.flatnonzero(np.diff(dsts, prepend=-1))
     heard = dsts[first]
 
@@ -260,7 +227,7 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     # m_max + k is the state at block step k; the block's final step
     # writes a spare last row.
     x = np.empty((m_max + window + 1, n))
-    x[: m_max + 1] = cfg.init.fill(m_max + 1, n)
+    x[: m_max + 1] = _history(cfg.init, m_max + 1, n)
     flat = x.reshape(-1)
     derivs = np.empty((window, n))
     pull = np.zeros(n)
@@ -315,8 +282,8 @@ class ConsensusVerdict:
         }
 
 
-def detect_consensus(traj: Trajectory) -> ConsensusVerdict:
-    """Classify the terminal derivative behavior of a trajectory.
+def detect_consensus(derivs: np.ndarray) -> ConsensusVerdict:
+    """Classify the terminal behavior of a run's ``(steps, n)`` derivatives.
 
     Over the final ``WINDOW`` samples, a node is settled when its
     derivative range is below ``DRIFT_TOL`` and settled nodes are grouped
@@ -328,9 +295,8 @@ def detect_consensus(traj: Trajectory) -> ConsensusVerdict:
     several groups may settle to intermediate values and then show up as
     extra groups; no convergence claim is made for them.
     """
-    if traj.horizon <= WINDOW:
-        raise ValueError(f"trajectory ({traj.horizon} steps) must be longer than window {WINDOW}")
-    derivs = traj.derivs
+    if len(derivs) <= WINDOW:
+        raise ValueError(f"trajectory ({len(derivs)} steps) must be longer than window {WINDOW}")
     scale = max(float(derivs.max()), -float(derivs.min()), 1e-300)
     tail = derivs[-WINDOW:]
     means = tail.mean(axis=0)

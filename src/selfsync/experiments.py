@@ -157,7 +157,7 @@ def run_topology_study(
 
     cfg = SimConfig(coupling=coupling, step_s=step_s, horizon=horizon)
     traj = simulate(graph, params, cfg)
-    verdict = detect_consensus(traj)
+    verdict = detect_consensus(traj.derivs)
     prediction = predict(graph, params, coupling, quantize_step=step_s)
     return TopologyStudyResult(
         graph=graph, params=params, trajectory=traj, verdict=verdict, prediction=prediction

@@ -23,7 +23,6 @@ from selfsync import (
     NodeParams,
     SimConfig,
     StepSizeWarning,
-    Trajectory,
     VerdictKind,
     classify,
     debias_two_step,
@@ -66,8 +65,7 @@ def _verdicts(graphs, params, horizon: int) -> list:
                     SimConfig(COUPLING, STEP, horizon))
     bounds = np.cumsum([0] + [g.n for g in graphs])
     return [
-        detect_consensus(Trajectory(traj.step_s, traj.times, traj.states[:, lo:hi],
-                                    traj.derivs[:, lo:hi]))
+        detect_consensus(traj.derivs[:, lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
 
@@ -196,7 +194,7 @@ def test_4_uniform_cycles_match_balanced_closed_form():
         pred = predict(g, params, COUPLING).global_omega
         worst_pred = max(worst_pred, abs(pred - balanced_form) / abs(balanced_form))
 
-        verdict = detect_consensus(simulate(g, params, SimConfig(COUPLING, STEP, 20000)))
+        verdict = detect_consensus(simulate(g, params, SimConfig(COUPLING, STEP, 20000)).derivs)
         assert verdict.kind is VerdictKind.GLOBAL
         worst_sim = max(worst_sim, abs(verdict.omega - balanced_form) / abs(balanced_form))
     ok = worst_sim < 1e-4 and worst_pred < 1e-12

@@ -415,6 +415,11 @@ def test_missing_graph_flag(capsys):
     (["study", "--preset", "chain", "--horizon", 300, "--outdir", "{graph}/study"], None),
     (["mc-estimate", "--nodes", 4, "--runs", 1, "--horizon", 10,
       "--out", "{tmp}/missing/mc.csv"], None),
+    *[(["simulate", "--graph", "{graph}", "--params", "{params}", "--horizon", 10,
+        "--init", f"constant:{v}", "--out", "{tmp}/t.csv"], None)
+      for v in ("nan", "inf", "-inf", "1e400")],
+    *[(["debias", "--graph", "{graph}", "--params", "{params}", "--mode", "analytic",
+        "--decision", f"threshold:{v}"], None) for v in ("nan", "inf", "-inf")],
 ])
 def test_bad_values_are_usage_errors(chain_files, tmp_path, capsys, argv, config):
     graph, params = chain_files
@@ -587,6 +592,18 @@ def test_debias_zero_rate_ring(zero_rate_ring_files, capsys):
     assert abs(json.loads(out)["estimate"]) < 1e-9
 
 
+def test_debias_exp_decision_overflow_is_numerical_failure(zero_rate_ring_files, capsys):
+    graph, params = zero_rate_ring_files
+    params.write_text(json.dumps({"c": [1.0, 1.0, 1.0], "u": [800.0, 800.0, 800.0]}))
+    code, out, err = run_cli(
+        ["debias", "--graph", graph, "--params", params, "--mode", "analytic",
+         "--decision", "exp"], capsys
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "debias"])
 def test_horizon_too_large_to_allocate_is_a_usage_error(zero_rate_ring_files, tmp_path,
                                                          capsys, command):
@@ -642,7 +659,7 @@ def test_truth_noise_and_random_init_draw_separate_streams(chain_files, tmp_path
     params = tmp_path / "ml.json"
     params.write_text(json.dumps({"A": [1.0, 1.0], "sigma2": [1.0, 1.0], "truth": 0.0}))
     noise = cli._load_params_file(str(params), 2, 5).stats
-    history = cli._build_init("random", load_graph(graph), 1e-3, 5).values
+    history = cli._build_init("random", load_graph(graph), 1e-3, 5)
     assert not any(np.array_equal(noise, row) for row in history)
 
 

@@ -15,7 +15,6 @@ from selfsync import (
     DegenerateDebiasError,
     Digraph,
     Edge,
-    InitialCondition,
     NodeParams,
     SimConfig,
     centralized_ml,
@@ -138,8 +137,8 @@ def test_predict_quantize_step_matches_prequantized_graph():
 
     g = Digraph(2, (Edge(0, 1, 1.0, 0.0314), Edge(1, 0, 1.0, 0.0718),))
     params = NodeParams(weights=[1.0, 2.0], stats=[1.0, 2.0])
-    q = quantize_delays(g, 1e-3)
-    prequantized = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, q.lags * 1e-3)
+    lags = quantize_delays(g, 1e-3)
+    prequantized = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, lags * 1e-3)
     direct = predict(prequantized, params, 30.0).global_omega
     assert predict(g, params, 30.0, quantize_step=1e-3).global_omega == direct
 
@@ -250,13 +249,11 @@ def test_debias_simulated_equals_two_separate_runs():
     g = random_qsc_graph(rng, n).with_delays(rng.uniform(0.0, 0.03, size=(n, n)))
     params = NodeParams(weights=rng.uniform(1.0, 2.0, n), stats=rng.uniform(0.5, 2.0, n))
     ones = NodeParams(weights=params.weights, stats=np.ones(n))
-    for init in (InitialCondition.zero(), InitialCondition.constant(0.4),
-                 InitialCondition.constant(rng.normal(size=n)),
-                 InitialCondition.samples(rng.normal(size=(40, n)))):
+    for init in (0.0, 0.4, rng.normal(size=n), rng.normal(size=(40, n))):
         cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=6000, init=init)
         result = debias_two_step(g, params, cfg, DebiasMode.SIMULATED)
-        stat = detect_consensus(simulate(g, params, cfg)).omega
-        ref = detect_consensus(simulate(g, ones, cfg)).omega
+        stat = detect_consensus(simulate(g, params, cfg).derivs).omega
+        ref = detect_consensus(simulate(g, ones, cfg).derivs).omega
         assert (result.omega_stat, result.omega_reference) == (stat, ref)
         assert result.estimate == stat / ref
 
@@ -320,6 +317,9 @@ def test_decision_rule_parse_and_apply():
         DecisionRule.parse("median")
     with pytest.raises(ValueError):
         DecisionRule.parse("threshold:abc")
+    for level in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            DecisionRule.parse(f"threshold:{level}")
 
 
 def test_exp_decision_yields_geometric_mean():

@@ -107,7 +107,7 @@ def test_classify_hand_cases():
     chain = Digraph(2, (Edge(1, 0, 1.0, 0.0),))
     rep = classify(chain)
     assert rep.kind is ConnectivityClass.QSC_NOT_SC
-    assert rep.root_nodes() == ((0,),)
+    assert tuple(rep.sccs[i] for i in rep.root_sccs) == ((0,),)
     assert not rep.balanced
     assert np.array_equal(rep.influence, [1.0, 0.0])
 

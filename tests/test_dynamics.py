@@ -23,7 +23,6 @@ from selfsync import (
     Digraph,
     Edge,
     GenerationBudgetError,
-    InitialCondition,
     NodeParams,
     SimConfig,
     SimulationDiverged,
@@ -47,18 +46,17 @@ def mutual_pair(delay: float = 0.0, gain: float = 1.0) -> Digraph:
 
 def test_quantize_rounds_half_to_even():
     g = Digraph(2, (Edge(0, 1, 1.0, 0.0025), Edge(1, 0, 1.0, 0.0035)))
-    q = quantize_delays(g, 1e-3)
-    assert q.lags.dtype == np.int64
-    assert q.lags.tolist() == [2, 4]  # 2.5 steps -> 2, 3.5 steps -> 4, in edge order
-    assert q.m_max == 4
+    lags = quantize_delays(g, 1e-3)
+    assert lags.dtype == np.int64
+    assert lags.tolist() == [2, 4]  # 2.5 steps -> 2, 3.5 steps -> 4, in edge order
+    assert lags.max() == 4
 
 
 def test_quantize_exact_multiples_pass_through():
     g = mutual_pair(delay=0.05)
-    q = quantize_delays(g, 1e-3)
-    assert q.lags.tolist() == [50, 50]
-    assert q.m_max == 50
-    assert quantize_delays(Digraph(3, ()), 1e-3).m_max == 0
+    assert quantize_delays(g, 1e-3).tolist() == [50, 50]
+    empty = quantize_delays(Digraph(3, ()), 1e-3)
+    assert empty.dtype == np.int64 and empty.max(initial=0) == 0
 
 
 def test_quantize_rejects_bad_step():
@@ -69,7 +67,7 @@ def test_quantize_rejects_bad_step():
 def test_quantize_rejects_lags_beyond_int64():
     with pytest.raises(ValueError, match="2\\*\\*63"):
         quantize_delays(mutual_pair(delay=0.02), 1e-300)
-    assert quantize_delays(mutual_pair(delay=1.0), 2.0**-62).m_max == 2**62
+    assert quantize_delays(mutual_pair(delay=1.0), 2.0**-62).max() == 2**62
 
 
 # === Simulation fixed points ===
@@ -87,7 +85,7 @@ def test_pair_zero_delay_settles_to_weighted_mean():
     g = mutual_pair()
     params = NodeParams(weights=[1.0, 1.0], stats=[1.0, 3.0])
     cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=2000)
-    verdict = detect_consensus(simulate(g, params, cfg))
+    verdict = detect_consensus(simulate(g, params, cfg).derivs)
     assert verdict.kind is VerdictKind.GLOBAL
     assert verdict.omega == pytest.approx(2.0, abs=1e-9)
 
@@ -96,7 +94,7 @@ def test_pair_with_delay_matches_hand_value():
     g = mutual_pair(delay=0.5)
     params = NodeParams(weights=[1.0, 1.0], stats=[1.0, 1.0])
     cfg = SimConfig(coupling=1.0, step_s=1e-3, horizon=8000)
-    verdict = detect_consensus(simulate(g, params, cfg))
+    verdict = detect_consensus(simulate(g, params, cfg).derivs)
     assert verdict.kind is VerdictKind.GLOBAL
     assert verdict.omega == pytest.approx(2.0 / 3.0, rel=1e-9)
 
@@ -128,9 +126,9 @@ def test_terminal_rate_ignores_initial_history():
         hist = rng.normal(0.0, 5.0, size=(31, 2))
         cfg = SimConfig(
             coupling=10.0, step_s=1e-3, horizon=6000,
-            init=InitialCondition.samples(hist),
+            init=hist,
         )
-        verdict = detect_consensus(simulate(g, params, cfg))
+        verdict = detect_consensus(simulate(g, params, cfg).derivs)
         assert verdict.kind is VerdictKind.GLOBAL
         omegas.append(verdict.omega)
     assert max(omegas) - min(omegas) < 1e-8 * max(abs(v) for v in omegas)
@@ -143,7 +141,7 @@ def test_constant_history_feeds_delayed_terms():
     params = NodeParams(weights=[1.0, 1.0], stats=[0.0, 0.0])
     cfg = SimConfig(
         coupling=1.0, step_s=1e-3, horizon=20,
-        init=InitialCondition.constant(np.array([3.0, 1.0])),
+        init=np.array([3.0, 1.0]),
     )
     traj = simulate(g, params, cfg)
     assert traj.states[0, 0] == 3.0 and traj.states[0, 1] == 1.0
@@ -154,15 +152,24 @@ def test_constant_history_feeds_delayed_terms():
 
 
 def test_initial_condition_validation():
-    with pytest.raises(ValueError):
-        InitialCondition.samples(np.zeros(5))  # not 2-d
-    cond = InitialCondition.samples(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        cond.fill(rows=10, n=2)  # not enough history rows
-    with pytest.raises(ValueError):
-        cond.fill(rows=2, n=4)  # wrong node count
-    with pytest.raises(ValueError):
-        InitialCondition.constant(np.array([1.0, 2.0, 3.0])).fill(rows=2, n=2)
+    with pytest.raises(ValueError, match="scalar"):
+        SimConfig(1.0, 1e-3, 10, np.zeros((3, 2, 1)))  # more than 2-d
+    for bad in (np.nan, np.inf, -np.inf, [[0.0, np.nan]]):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(1.0, 1e-3, 10, bad)
+    history = SimConfig(1.0, 1e-3, 10, np.zeros((3, 2))).init
+    with pytest.raises(ValueError, match=r"needs at least 10 rows of 2 columns"):
+        dynamics._history(history, rows=10, n=2)  # not enough history rows
+    with pytest.raises(ValueError, match=r"needs at least 2 rows of 4 columns"):
+        dynamics._history(history, rows=2, n=4)  # wrong node count
+    with pytest.raises(ValueError, match="1 or 2 values"):
+        dynamics._history(np.array([1.0, 2.0, 3.0]), rows=2, n=2)
+    # Through simulate: a 3-node graph with m_max = 5 needs 6 rows of 3.
+    g = Digraph(3, (Edge(1, 0, 1.0, 0.005),))
+    params = NodeParams(weights=np.ones(3), stats=np.zeros(3))
+    for bad in ([1.0, 2.0], np.zeros((5, 3)), np.zeros((6, 2))):
+        with pytest.raises(ValueError):
+            simulate(g, params, SimConfig(1.0, 1e-3, 10, bad))
 
 
 def test_sim_config_validation():
@@ -250,8 +257,8 @@ def test_integrate_blocks_reproduce_simulate():
     params = NodeParams(weights=[1.0, 2.0, 1.5], stats=[0.3, -1.0, 2.0])
     history = np.random.default_rng(4).normal(size=(20, 3))
     cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=250,
-                    init=InitialCondition.samples(history))
-    m_max = quantize_delays(g, cfg.step_s).m_max
+                    init=history)
+    m_max = int(quantize_delays(g, cfg.step_s).max())
     assert m_max == 12
     whole = simulate(g, params, cfg)
     for window in (1, 7, m_max, cfg.horizon):
@@ -267,18 +274,8 @@ def test_integrate_blocks_reproduce_simulate():
 
 # === Terminal-rate detector ===
 
-def synthetic_trajectory(derivs: np.ndarray) -> Trajectory:
-    derivs = np.asarray(derivs, dtype=float)
-    h = 1e-3
-    states = np.zeros_like(derivs)
-    states[1:] = np.cumsum(derivs[:-1] * h, axis=0)
-    times = np.arange(derivs.shape[0]) * h
-    return Trajectory(step_s=h, times=times, states=states, derivs=derivs)
-
-
 def test_detector_global():
-    traj = synthetic_trajectory(np.full((500, 4), 5.0))
-    verdict = detect_consensus(traj)
+    verdict = detect_consensus(np.full((500, 4), 5.0))
     assert verdict.kind is VerdictKind.GLOBAL
     assert verdict.omega == 5.0
     assert verdict.groups[0].members == (0, 1, 2, 3)
@@ -289,7 +286,7 @@ def test_detector_clustered_two_levels():
     derivs = np.empty((500, 4))
     derivs[:, :2] = 1.0
     derivs[:, 2:] = 2.0
-    verdict = detect_consensus(synthetic_trajectory(derivs))
+    verdict = detect_consensus(derivs)
     assert verdict.kind is VerdictKind.CLUSTERED
     assert verdict.omega is None
     assert [g.members for g in verdict.groups] == [(0, 1), (2, 3)]
@@ -299,7 +296,7 @@ def test_detector_clustered_two_levels():
 def test_detector_none_when_drifting():
     derivs = np.ones((500, 2))
     derivs[:, 1] = np.linspace(0.0, 1.0, 500)  # never settles
-    verdict = detect_consensus(synthetic_trajectory(derivs))
+    verdict = detect_consensus(derivs)
     assert verdict.kind is VerdictKind.NONE
     assert verdict.unsettled == (1,)
 
@@ -308,7 +305,7 @@ def test_detector_edgeless_graph_gives_singleton_clusters():
     g = Digraph(3, ())
     params = NodeParams(weights=np.ones(3), stats=[1.0, 2.0, 3.0])
     cfg = SimConfig(coupling=1.0, step_s=1e-3, horizon=400)
-    verdict = detect_consensus(simulate(g, params, cfg))
+    verdict = detect_consensus(simulate(g, params, cfg).derivs)
     assert verdict.kind is VerdictKind.CLUSTERED
     assert [grp.members for grp in verdict.groups] == [(0,), (1,), (2,)]
     assert [grp.omega for grp in verdict.groups] == [1.0, 2.0, 3.0]
@@ -318,14 +315,14 @@ def test_detector_merges_within_tolerance():
     derivs = np.empty((500, 2))
     derivs[:, 0] = 1.0
     derivs[:, 1] = 1.0 + 1e-9  # inside sync_tol * scale
-    verdict = detect_consensus(synthetic_trajectory(derivs))
+    verdict = detect_consensus(derivs)
     assert verdict.kind is VerdictKind.GLOBAL
 
 
 def test_detector_validation():
     with pytest.raises(ValueError):
-        detect_consensus(synthetic_trajectory(np.ones((WINDOW, 2))))
-    assert detect_consensus(synthetic_trajectory(np.ones((WINDOW + 1, 2)))).kind is VerdictKind.GLOBAL
+        detect_consensus(np.ones((WINDOW, 2)))
+    assert detect_consensus(np.ones((WINDOW + 1, 2))).kind is VerdictKind.GLOBAL
 
 
 def zero_rate_ring() -> tuple[Digraph, NodeParams, SimConfig]:
@@ -336,7 +333,7 @@ def zero_rate_ring() -> tuple[Digraph, NodeParams, SimConfig]:
 
 
 def test_detector_reads_zero_rate_ring_as_global():
-    verdict = detect_consensus(simulate(*zero_rate_ring()))
+    verdict = detect_consensus(simulate(*zero_rate_ring()).derivs)
     assert verdict.kind is VerdictKind.GLOBAL
     assert abs(verdict.omega) < 1e-12
 
@@ -355,13 +352,13 @@ def test_detector_reads_zero_mean_statistics_as_global():
         gc = classify(g).influence * weights
         stats -= np.dot(gc, stats) / gc.sum()
         params = NodeParams(weights=weights, stats=stats)
-        verdict = detect_consensus(simulate(g, params, SimConfig(10.0, 1e-3, 6000)))
+        verdict = detect_consensus(simulate(g, params, SimConfig(10.0, 1e-3, 6000)).derivs)
         assert verdict.kind is VerdictKind.GLOBAL, (n, verdict)
         assert abs(verdict.omega) < 1e-9
 
 
 def test_verdict_json_dict():
-    verdict = detect_consensus(synthetic_trajectory(np.full((300, 2), 7.0)))
+    verdict = detect_consensus(np.full((300, 2), 7.0))
     doc = verdict.to_json_dict()
     assert doc["verdict"] == "GLOBAL"
     assert doc["omega"] == 7.0

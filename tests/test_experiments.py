@@ -19,7 +19,7 @@ def test_chain_preset_structure():
     g, params = preset_network("chain", delay_s=0.05)
     rep = classify(g)
     assert rep.kind is ConnectivityClass.QSC_NOT_SC
-    assert rep.root_nodes() == ((0, 1, 2),)
+    assert tuple(rep.sccs[i] for i in rep.root_sccs) == ((0, 1, 2),)
     assert params.n == 9
     assert np.array_equal(params.stats, np.arange(1.0, 10.0))
 
@@ -28,7 +28,7 @@ def test_forest_preset_structure():
     g, params = preset_network("forest", delay_s=0.05)
     rep = classify(g)
     assert rep.kind is ConnectivityClass.WC_NOT_QSC
-    assert rep.root_nodes() == ((0,), (3,))
+    assert tuple(rep.sccs[i] for i in rep.root_sccs) == ((0,), (3,))
     assert params.n == 8
 
 

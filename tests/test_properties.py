@@ -21,17 +21,16 @@ from selfsync import (
     Digraph,
     Edge,
     GraphFormatError,
-    InitialCondition,
     NodeParams,
     SimConfig,
     StepSizeWarning,
-    Trajectory,
     classify,
     debias_two_step,
     detect_consensus,
     disjoint_union,
     laplacian,
     predict,
+    quantize_delays,
     scc_decompose,
     simulate,
 )
@@ -156,7 +155,7 @@ def test_disjoint_union_simulates_like_separate_runs(g1, g2, seed):
 
     def run(g, part):
         params = NodeParams(weights=weights[part], stats=stats[part])
-        cfg = SimConfig(2.0, 1e-3, 60, InitialCondition.constant(start[part]))
+        cfg = SimConfig(2.0, 1e-3, 60, start[part])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return simulate(g, params, cfg)
@@ -166,6 +165,25 @@ def test_disjoint_union_simulates_like_separate_runs(g1, g2, seed):
         alone = run(g, part)
         assert np.array_equal(whole.states[:, part], alone.states)
         assert np.array_equal(whole.derivs[:, part], alone.derivs)
+
+
+@props
+@given(graphs(), st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1))
+def test_flat_and_block_histories_simulate_alike(g, value, seed):
+    # A scalar, one value per node and the full (m_max + 1, n) block are the
+    # same flat history; a longer block is read by its trailing rows.
+    weights, stats, _ = _node_data(g.n, seed)
+    m_max = int(quantize_delays(g, 1e-3).max(initial=0))
+    block = np.full((m_max + 1, g.n), value)
+    older = np.random.default_rng(seed).normal(0.0, 1.0, (3, g.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = NodeParams(weights=weights, stats=stats)
+        runs = [simulate(g, params, SimConfig(2.0, 1e-3, 30, init))
+                for init in (value, np.full(g.n, value), block, np.vstack([older, block]))]
+    for run in runs[1:]:
+        assert np.array_equal(run.states, runs[0].states)
+        assert np.array_equal(run.derivs, runs[0].derivs)
 
 
 @props
@@ -183,7 +201,7 @@ def test_simulation_ignores_how_listeners_interleave(g, rnd, seed):
     dealt = Digraph.from_arrays(g.n, g.dst[order], g.src[order], g.gain[order], g.delay_s[order])
     weights, stats, _ = _node_data(g.n, seed)
     history = np.random.default_rng(seed).normal(0.0, 1.0, (25, g.n))
-    cfg = SimConfig(2.0, 1e-3, 40, InitialCondition.samples(history))
+    cfg = SimConfig(2.0, 1e-3, 40, history)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         a, b = (simulate(x, NodeParams(weights=weights, stats=stats), cfg) for x in (g, dealt))
@@ -200,7 +218,7 @@ def test_simulate_equals_plain_euler_oracle_bitwise(g, m_max, seed, data):
     g = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, np.array(lags) * step_s)
     weights, stats, _ = _node_data(g.n, seed)
     history = np.random.default_rng(seed).normal(0.0, 1.0, (m_max + 3, g.n))
-    cfg = SimConfig(2.0, step_s, horizon, InitialCondition.samples(history))
+    cfg = SimConfig(2.0, step_s, horizon, history)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = simulate(g, NodeParams(weights=weights, stats=stats), cfg)
@@ -247,7 +265,7 @@ def test_reach_and_cluster_membership_match_the_oracle(g):
     adj = g.gain_matrix() > 0
     oracle = brute_reach(g.n, adj)
     report = classify(g)
-    roots = report.root_nodes()
+    roots = [report.sccs[i] for i in report.root_sccs]
     assert set().union(*roots) == brute_root_union(g.n, adj)
     rows = np.array([oracle[nodes[0]] for nodes in roots])
     assert np.array_equal(report.reach, rows)
@@ -289,7 +307,7 @@ def test_sccs_and_condensation_match_the_oracle(g, rnd):
 def test_predict_keeps_cluster_rates_when_root_blocks_are_rescaled(g, seed, data):
     report = classify(g)
     influence = report.influence.copy()
-    for nodes in report.root_nodes():
+    for nodes in [report.sccs[i] for i in report.root_sccs]:
         influence[list(nodes)] *= data.draw(st.floats(0.01, 100.0))
     scaled = dataclasses.replace(report, influence=influence)
     weights, stats, _ = _node_data(g.n, seed)
@@ -345,15 +363,14 @@ def test_disjoint_union_blocks_simulate_as_their_graphs(gs, seed):
         warnings.simplefilter("ignore", StepSizeWarning)
         whole = simulate(union, NodeParams(weights=np.concatenate([p.weights for p in params]),
                                            stats=np.concatenate([p.stats for p in params])),
-                         SimConfig(30.0, 1e-3, 260, InitialCondition.constant(np.concatenate(starts))))
+                         SimConfig(30.0, 1e-3, 260, np.concatenate(starts)))
         lo = 0
         for g, p, x0 in zip(gs, params, starts):
-            own = simulate(g, p, SimConfig(30.0, 1e-3, 260, InitialCondition.constant(x0)))
-            block = Trajectory(whole.step_s, whole.times, whole.states[:, lo:lo + g.n],
-                               whole.derivs[:, lo:lo + g.n])
-            assert np.array_equal(block.states, own.states)
-            assert np.array_equal(block.derivs, own.derivs)
-            assert detect_consensus(block) == detect_consensus(own)
+            own = simulate(g, p, SimConfig(30.0, 1e-3, 260, x0))
+            states, derivs = whole.states[:, lo:lo + g.n], whole.derivs[:, lo:lo + g.n]
+            assert np.array_equal(states, own.states)
+            assert np.array_equal(derivs, own.derivs)
+            assert detect_consensus(derivs) == detect_consensus(own.derivs)
             lo += g.n
 
 
