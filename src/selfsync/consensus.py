@@ -250,11 +250,19 @@ class DecisionRule:
     """Final decision map applied to the debiased network average.
 
     Presets: ``identity``; ``exp`` (use when statistics are log-domain);
-    ``threshold`` with a level, mapping to 1.0/0.0.
+    ``threshold`` with a finite level, mapping to 1.0/0.0.  Any other kind,
+    or a threshold without a finite level, raises ``ValueError`` at
+    construction.
     """
 
     kind: str
     level: "float | None" = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("identity", "exp", "threshold"):
+            raise ValueError(f"unknown decision rule kind {self.kind!r}")
+        if self.kind == "threshold" and (self.level is None or not math.isfinite(self.level)):
+            raise ValueError(f"threshold rule needs a finite level, got {self.level!r}")
 
     @staticmethod
     def parse(text: str) -> "DecisionRule":
@@ -273,15 +281,15 @@ class DecisionRule:
         raise ValueError(f"unknown decision rule {text!r}; use identity, exp, or threshold:<level>")
 
     def __call__(self, value: float) -> float:
-        if self.kind == "identity":
-            return float(value)
+        """The decision for one estimate; ``OverflowError`` when ``exp`` overflows."""
         if self.kind == "exp":
-            return math.exp(value)
+            try:
+                return math.exp(value)
+            except OverflowError:
+                raise OverflowError(f"decision exp overflows at estimate {value}") from None
         if self.kind == "threshold":
-            if self.level is None:
-                raise ValueError("threshold rule needs a level")
             return 1.0 if value >= self.level else 0.0
-        raise ValueError(f"unknown decision rule kind {self.kind!r}")
+        return float(value)
 
 
 def ml_setup(

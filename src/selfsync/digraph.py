@@ -44,6 +44,11 @@ __all__ = [
 # infinity norm of the Laplacian.
 NULL_RESIDUAL_RTOL = 1e-10
 
+# Rounds per direction of the strong-connectivity test in ``classify``.
+# Dense Rayleigh draws are covered in two or three; a graph that needs
+# more (a long ring or chain) falls back to Tarjan.
+_SC_ROUNDS = 8
+
 # Edge columns, in ``Edge`` field order; the first two hold node ids.
 _COLUMNS = ("dst", "src", "gain", "delay_s")
 
@@ -330,18 +335,25 @@ def scc_decompose(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[
     return tuple(map(tuple, comps)), tuple(zip(*(c.tolist() for c in cond)))
 
 
-def _spread(tails: np.ndarray, heads: np.ndarray, reach: np.ndarray) -> np.ndarray:
+def _spread(tails: np.ndarray, heads: np.ndarray, reach: np.ndarray,
+            rounds: "int | None" = None) -> np.ndarray:
     """Close each row of ``reach`` under the links ``tails[k] -> heads[k]``.
 
     Each round marks, in every row at once, the heads of the links whose
-    tail is marked and whose head is not, until no link adds a node.
-    ``reach`` is updated in place and returned.
+    tail is marked and whose head is not (``tail > head`` as booleans).
+    The sweep stops once every row holds every node, when a round adds no
+    node, or after ``rounds`` rounds.  A row is closed within ``n`` rounds,
+    the default cap.  ``reach`` is updated in place and returned.
     """
-    while True:
-        rows, links = np.nonzero(reach[:, tails] & ~reach[:, heads])
-        if not rows.size:
-            return reach
+    for _ in range(reach.shape[1] if rounds is None else rounds):
+        if reach.all():
+            break
+        fresh = np.greater(reach.take(tails, axis=1), reach.take(heads, axis=1))
+        rows, links = np.divmod(np.flatnonzero(fresh), tails.size)
+        if not links.size:
+            break
         reach[rows, heads[links]] = True
+    return reach
 
 
 def classify(g: Digraph) -> ConnectivityReport:
@@ -352,6 +364,10 @@ def classify(g: Digraph) -> ConnectivityReport:
     WC_NOT_QSC when the graph is connected ignoring direction but has
     several root components; DISCONNECTED otherwise.  A graph is balanced
     when every node's received gain sum equals its transmitted gain sum.
+    Strong connectivity is tested first, by two sweeps of at most
+    ``_SC_ROUNDS`` rounds: node 0 reaching every node along the links, and
+    every node reaching node 0 against them.  When both cover every node
+    the report needs no Tarjan pass; otherwise Tarjan finds the components.
     The graph is immutable, so the report is computed once, stored on it
     and shared (with read-only ``influence`` and ``reach``) by every later
     call.
@@ -359,13 +375,18 @@ def classify(g: Digraph) -> ConnectivityReport:
     cached = getattr(g, "_report", None)
     if cached is not None:
         return cached
-    sccs, condensation = scc_decompose(g)
-    heard_from_outside = {b for (_a, b) in condensation}
-    root_sccs = tuple(i for i in range(len(sccs)) if i not in heard_from_outside)
-    reach = np.zeros((len(root_sccs), g.n), dtype=bool)
-    for k, ri in enumerate(root_sccs):
-        reach[k, list(sccs[ri])] = True
-    _spread(g.src, g.dst, reach)
+    if (_spread(g.src, g.dst, np.eye(1, g.n, dtype=bool), _SC_ROUNDS).all()
+            and _spread(g.dst, g.src, np.eye(1, g.n, dtype=bool), _SC_ROUNDS).all()):
+        sccs, condensation, root_sccs = (tuple(range(g.n)),), (), (0,)
+        reach = np.ones((1, g.n), dtype=bool)
+    else:
+        sccs, condensation = scc_decompose(g)
+        heard_from_outside = {b for (_a, b) in condensation}
+        root_sccs = tuple(i for i in range(len(sccs)) if i not in heard_from_outside)
+        reach = np.zeros((len(root_sccs), g.n), dtype=bool)
+        for k, ri in enumerate(root_sccs):
+            reach[k, list(sccs[ri])] = True
+        _spread(g.src, g.dst, reach)
     reach.flags.writeable = False
 
     if len(sccs) == 1:

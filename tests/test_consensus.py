@@ -191,17 +191,19 @@ def test_debias_recovers_weighted_mean_analytic():
 
 
 def test_one_scc_pass_per_generated_graph(monkeypatch):
+    # Every classification assembles its root blocks once, whether or not
+    # Tarjan ran, so counting that step counts the classifications.
     from selfsync import digraph
     from selfsync.netgen import Fading, RadioConfig, ensure_connectivity
 
     calls = []
-    scc_decompose = digraph.scc_decompose
+    root_blocks = digraph._root_blocks
 
-    def counting_scc(g):
+    def counting_blocks(g, roots):
         calls.append(g)
-        return scc_decompose(g)
+        return root_blocks(g, roots)
 
-    monkeypatch.setattr(digraph, "scc_decompose", counting_scc)
+    monkeypatch.setattr(digraph, "_root_blocks", counting_blocks)
     radio = RadioConfig(n=12, fading=Fading.RAYLEIGH, hear_threshold=3.0,
                         delay_span_s=0.02, seed=0)
     net = ensure_connectivity(radio, "SC")
@@ -213,6 +215,7 @@ def test_one_scc_pass_per_generated_graph(monkeypatch):
     left_null_vector(g)
     assert net.attempts > 1
     assert len(calls) == net.attempts
+    assert len({id(h) for h in calls}) == net.attempts
     assert calls[-1] is g and classify(g) is report
 
 
@@ -320,6 +323,15 @@ def test_decision_rule_parse_and_apply():
     for level in ("nan", "inf", "-inf", "1e400"):
         with pytest.raises(ValueError, match="finite"):
             DecisionRule.parse(f"threshold:{level}")
+
+    # Built directly, a rule gets the same checks as through parse.
+    for kind, level in (("median", None), ("threshold", None), ("threshold", float("nan")),
+                        ("threshold", float("inf")), ("threshold", -float("inf"))):
+        with pytest.raises(ValueError):
+            DecisionRule(kind, level)
+    assert DecisionRule("threshold", 0.5)(0.7) == 1.0
+    with pytest.raises(OverflowError, match=r"decision exp overflows at estimate 800\.0"):
+        DecisionRule("exp")(800.0)
 
 
 def test_exp_decision_yields_geometric_mean():

@@ -301,9 +301,17 @@ def test_reports_compare_by_value():
         hash(classify(Digraph(2, two)))
 
 
-@pytest.mark.parametrize("kind", [ConnectivityClass.DISCONNECTED, ConnectivityClass.WC_NOT_QSC])
-def test_tarjan_runs_once_per_classification(kind, monkeypatch):
+@pytest.mark.parametrize("case, tarjan_calls", [
+    pytest.param("empty", 1, id="DISCONNECTED"),
+    pytest.param("forest", 1, id="WC_NOT_QSC"),
+    pytest.param("rayleigh", 0, id="SC-rayleigh"),
+    pytest.param("long ring", 1, id="SC-long-ring"),
+])
+def test_tarjan_runs_once_per_classification(case, tarjan_calls, monkeypatch):
+    # Tarjan runs at most once, and not at all when the capped sweeps find
+    # the graph strongly connected; a ring longer than the cap needs it.
     from selfsync import digraph
+    from selfsync.netgen import Fading, RadioConfig, ensure_connectivity
 
     calls = []
     tarjan = digraph._tarjan_components
@@ -313,12 +321,22 @@ def test_tarjan_runs_once_per_classification(kind, monkeypatch):
         return tarjan(n, succ)
 
     monkeypatch.setattr(digraph, "_tarjan_components", counted)
-    if kind is ConnectivityClass.DISCONNECTED:
-        g = Digraph(3, ())
+    kind = ConnectivityClass.SC
+    if case == "empty":
+        g, kind = Digraph(3, ()), ConnectivityClass.DISCONNECTED
+    elif case == "forest":
+        g, kind = preset_network("forest", delay_s=0.0)[0], ConnectivityClass.WC_NOT_QSC
+    elif case == "rayleigh":
+        radio = RadioConfig(n=40, hear_threshold=1.0, fading=Fading.RAYLEIGH,
+                            delay_span_s=0.02, seed=3)
+        g = ensure_connectivity(radio, "SC").graph
+        g = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, g.delay_s)  # not yet classified
+        calls.clear()  # rejected draws may have needed Tarjan
     else:
-        g = preset_network("forest", delay_s=0.0)[0]
+        n = 2 * digraph._SC_ROUNDS
+        g = Digraph(n, [Edge((i + 1) % n, i, 1.0, 0.0) for i in range(n)])
     assert classify(g).kind is kind
-    assert len(calls) == 1
+    assert len(calls) == tarjan_calls
 
 
 def test_failed_classification_is_not_cached(monkeypatch):

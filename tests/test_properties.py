@@ -16,18 +16,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsync import (
+    ConnectivityClass,
     DebiasError,
     DebiasMode,
     Digraph,
     Edge,
+    Fading,
     GraphFormatError,
     NodeParams,
+    RadioConfig,
     SimConfig,
     StepSizeWarning,
     classify,
     debias_two_step,
     detect_consensus,
     disjoint_union,
+    ensure_connectivity,
     laplacian,
     predict,
     quantize_delays,
@@ -35,6 +39,7 @@ from selfsync import (
     simulate,
 )
 from selfsync import consensus
+from selfsync.digraph import _SC_ROUNDS, _root_block_null_vector, _root_blocks, _spread
 
 from _oracles import brute_reach, brute_root_union, euler_reference
 
@@ -300,6 +305,64 @@ def test_sccs_and_condensation_match_the_oracle(g, rnd):
     perm = rnd.sample(range(g.dst.size), g.dst.size)
     shuffled = Digraph.from_arrays(g.n, g.dst[perm], g.src[perm], g.gain[perm], g.delay_s[perm])
     assert classify(shuffled) == classify(g)
+
+
+@st.composite
+def long_cycles(draw, max_n=3 * _SC_ROUNDS):
+    """Strongly connected graphs: a cycle through every node in a drawn
+    order, plus a few chords.  Most are too long for the capped sweeps."""
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(n)))
+    links = {(order[(i + 1) % n], order[i]) for i in range(n)}
+    chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    links |= set(draw(st.lists(chords, max_size=3)))
+    return Digraph(n, [Edge(d, s, draw(gains), draw(delays)) for d, s in sorted(links)])
+
+
+@st.composite
+def sc_rayleigh_draws(draw):
+    radio = RadioConfig(n=draw(st.integers(2, 40)), hear_threshold=draw(st.floats(0.05, 5.0)),
+                        fading=Fading.RAYLEIGH, delay_span_s=0.02,
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    return ensure_connectivity(radio, "SC").graph
+
+
+def _tarjan_report_fields(g):
+    """Class, components, roots, reach and influence from Tarjan's components."""
+    sccs, condensation = scc_decompose(g)
+    heard = {b for _a, b in condensation}
+    root_sccs = tuple(i for i in range(len(sccs)) if i not in heard)
+    reach = np.zeros((len(root_sccs), g.n), dtype=bool)
+    for k, i in enumerate(root_sccs):
+        reach[k, list(sccs[i])] = True
+    _spread(g.src, g.dst, reach)
+    if len(sccs) == 1:
+        kind = ConnectivityClass.SC
+    elif len(root_sccs) == 1:
+        kind = ConnectivityClass.QSC_NOT_SC
+    elif _spread(np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src]),
+                 np.eye(1, g.n, dtype=bool)).all():
+        kind = ConnectivityClass.WC_NOT_QSC
+    else:
+        kind = ConnectivityClass.DISCONNECTED
+    influence = np.zeros(g.n)
+    for nodes, block in _root_blocks(g, [sccs[i] for i in root_sccs]):
+        influence[nodes] = _root_block_null_vector(block)
+    return kind, sccs, condensation, root_sccs, reach, influence
+
+
+@props
+@given(st.one_of(graphs(), long_cycles(), sc_rayleigh_draws()))
+@example(Digraph(1, ()))
+@example(_chain(30))
+@example(_two_cycle_line(15))
+def test_classify_matches_the_tarjan_assembly(g):
+    report = classify(g)
+    kind, sccs, condensation, root_sccs, reach, influence = _tarjan_report_fields(g)
+    assert (report.kind, report.sccs, report.condensation, report.root_sccs) == (
+        kind, sccs, condensation, root_sccs)
+    assert np.array_equal(report.reach, reach)
+    assert np.array_equal(report.influence, influence)
 
 
 @props
