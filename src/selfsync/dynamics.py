@@ -51,6 +51,10 @@ SYNC_TOL = 1e-6
 # Rows formatted per block when writing CSV.
 _CSV_BLOCK_ROWS = 1024
 
+# (link, step) pairs gathered, weighted and summed per tile of the step
+# kernel; a tile's buffers then stay in cache.
+_BLOCK_LINKS = 2**15
+
 
 class SimulationDiverged(RuntimeError):
     """A non-finite state appeared; ``step`` is the offending step index."""
@@ -203,18 +207,19 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     window = min(window, horizon)
 
     # Links sorted by listener (stably, so each listener keeps its edge
-    # order): heard node heard[j] owns the slice first[j] .. first[j + 1].
+    # order): heard node heard[j] owns the segment first[j] .. first[j + 1].
     order = np.argsort(g.dst, kind="stable")
-    dsts, gains, stats = g.dst[order], g.gain[order], params.stats
+    dsts, gains = g.dst[order], g.gain[order]
     # At block step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
     taps = ((m_max - lags) * n + g.src)[order]
     first = np.flatnonzero(np.diff(dsts, prepend=-1))
     heard = dsts[first]
+    links, segs = gains.size, first.size
 
-    rate = cfg.coupling / params.weights
+    rate, stats, step_s = cfg.coupling / params.weights, params.stats, cfg.step_s
     inflow = np.zeros(n)
     inflow[heard] = np.add.reduceat(gains, first)
-    stiffness = float(np.max(cfg.step_s * rate * inflow)) if n else 0.0
+    stiffness = float(np.max(step_s * rate * inflow)) if n else 0.0
     if stiffness > STIFFNESS_GUARD:
         warnings.warn(
             f"step_s * coupling rate reaches {stiffness:.3g} (guard {STIFFNESS_GUARD}); "
@@ -223,6 +228,45 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
             stacklevel=3,  # past this generator and the function stepping it
         )
 
+    # The kernel works in tiles of at most _BLOCK_LINKS (link, step) pairs.
+    # Every lag is at least lag_min, so steps k .. k + lag_min read only
+    # states that exist at step k, and one tile may gather all links for
+    # `span` such steps, step-major; a graph with more links splits each
+    # step into tiles of whole listener segments (a longer segment alone).
+    # Each segment sums the same products in the same order as one step's
+    # np.add.reduceat over every link, so the tiling does not move a bit.
+    lag_min = int(lags.min(initial=m_max))
+    span = max(1, min(lag_min + 1, _BLOCK_LINKS // max(links, 1)))
+    ahead = np.arange(span)[:, None]
+    taps = (taps + n * ahead).ravel()
+    gains = np.tile(gains, span)
+    first = (first + links * ahead).ravel()
+    # The gathers take mode="clip", which would hide an index past the
+    # states that exist when a tile starts; check the furthest one once.
+    if links and not (0 <= taps.min() and taps.max() < (m_max + 1) * n):
+        raise ValueError("a tile would gather a state that does not exist yet")
+    bounds = np.append(first[:segs], links)
+    cuts = [0]
+    while cuts[-1] < segs:
+        fits = int(np.searchsorted(bounds, bounds[cuts[-1]] + _BLOCK_LINKS, "right")) - 1
+        cuts.append(max(fits, cuts[-1] + 1))
+    widest = max((int(bounds[b] - bounds[a]) for a, b in zip(cuts, cuts[1:])), default=0)
+    gathered = np.empty(span * widest)
+    sums = np.zeros((span, segs))
+    # With every node heard, segment j is node j and the sums are the pulls.
+    pull = sums if segs == n else np.zeros((span, n))
+    flat_sums = sums.reshape(-1)
+
+    def tiles(steps: int) -> list:
+        """(taps, gains, buffer, segment starts, sums) of each tile of ``steps`` steps."""
+        views = []
+        for a, b in zip(cuts, cuts[1:]):
+            lo, width, count = int(bounds[a]), steps * int(bounds[b] - bounds[a]), steps * (b - a)
+            views.append((taps[lo : lo + width], gains[lo : lo + width], gathered[:width],
+                          first[a : a + count] - lo, flat_sums[a : a + count]))
+        return views
+
+    whole = tiles(span)
     # Rows 0 .. m_max hold the history at block steps -m_max .. 0; row
     # m_max + k is the state at block step k; the block's final step
     # writes a spare last row.
@@ -230,19 +274,38 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     x[: m_max + 1] = _history(cfg.init, m_max + 1, n)
     flat = x.reshape(-1)
     derivs = np.empty((window, n))
-    pull = np.zeros(n)
+    tmp = np.empty(n)
+    # The step size once per node: numpy would convert a Python float on every call.
+    steps_s = np.full(n, step_s)
 
+    # The ufuncs take their outputs positionally: keyword parsing would
+    # cost more than the arithmetic on a small network.
+    mul, sub, add, segment_sums = np.multiply, np.subtract, np.add, np.add.reduceat
     for start in range(0, horizon, window):
         if start:
             x[: m_max + 1] = x[window:]
         steps = min(window, horizon - start)
         # Overflow is reported through SimulationDiverged, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                now = x[m_max + k]
-                pull[heard] = np.add.reduceat(gains * flat[k * n :].take(taps), first)
-                derivs[k] = xdot = stats + rate * (pull - inflow * now)
-                x[m_max + k + 1] = now + cfg.step_s * xdot
+            k = end = 0
+            for j in range(steps):
+                if j == end:  # the next tile starts: pull for its steps k .. end
+                    k, end = j, min(j + span, steps)
+                    plan = whole if end - k == span else tiles(end - k)
+                    states = flat[k * n :]
+                    for tap, gain, buf, starts, out in plan:
+                        states.take(tap, None, buf, "clip")
+                        mul(gain, buf, buf)
+                        segment_sums(buf, starts, 0, None, out)
+                    if pull is not sums:
+                        pull[: end - k, heard] = sums[: end - k]
+                now = x[m_max + j]
+                mul(inflow, now, tmp)
+                sub(pull[j - k], tmp, tmp)
+                mul(rate, tmp, tmp)
+                xdot = add(stats, tmp, derivs[j])
+                mul(steps_s, xdot, tmp)
+                add(now, tmp, x[m_max + j + 1])
         bad = np.flatnonzero(~np.isfinite(derivs[:steps]).all(axis=1))
         if bad.size:
             step = start + int(bad[0])
@@ -324,10 +387,19 @@ def detect_consensus(derivs: np.ndarray) -> ConsensusVerdict:
 def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> str:
     """CSV text of rows ``start .. start + _CSV_BLOCK_ROWS`` of the side-by-side columns.
 
-    Every value is written at full precision, as its ``repr``.
+    Every value is written at full precision, as its ``repr``.  A float
+    block formats each distinct value once, distinct by its bits so that
+    0.0 and -0.0 keep their own text, and builds its rows from those
+    strings; a settled trajectory repeats most of its derivatives exactly.
     """
     block = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
-    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+    if block.dtype == np.float64:
+        distinct, index = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        rows = text[index.reshape(block.shape)].tolist()
+    else:
+        rows = [map(repr, row) for row in block.tolist()]
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 # The columns a pool worker formats, inherited from the writer at fork.

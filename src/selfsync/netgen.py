@@ -139,7 +139,8 @@ def _wave_speed(cfg: RadioConfig, dist: np.ndarray) -> float:
     if cfg.delay_span_s is None:
         return cfg.wave_speed
     d_max = float(dist.max())
-    if cfg.delay_span_s == 0.0:
+    # A lone node has no links, so no delay for the span to set.
+    if cfg.delay_span_s == 0.0 or cfg.n == 1:
         return float("inf")
     if d_max == 0.0:
         raise ValueError("cannot solve wave speed: all nodes are coincident")

@@ -272,6 +272,15 @@ def test_integrate_blocks_reproduce_simulate():
         assert np.array_equal(np.concatenate(derivs), whole.derivs)
 
 
+def test_a_gather_past_the_existing_states_raises(monkeypatch):
+    # The tiles gather with mode="clip", which would clamp a bad tap to some
+    # other state; a lag of -1 (a state one step ahead) must raise instead.
+    monkeypatch.setattr(dynamics, "quantize_delays", lambda g, step_s: np.array([-1, 0]))
+    params = NodeParams(weights=[1.0, 1.0], stats=[1.0, -1.0])
+    with pytest.raises(ValueError, match="does not exist yet"):
+        simulate(mutual_pair(), params, SimConfig(coupling=1.0, step_s=1e-3, horizon=10))
+
+
 # === Terminal-rate detector ===
 
 def test_detector_global():
@@ -416,6 +425,22 @@ def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, 
     want = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
     assert path.read_bytes() == (header + "\n" + want).encode()
     assert multiprocessing.active_children() == []
+
+
+def test_csv_block_keys_distinct_values_by_their_bits():
+    # Float-keyed np.unique would merge 0.0 with -0.0; the bit view keeps
+    # every value's own repr, NaNs of either sign and infinities included.
+    specials = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                5e-324, 1e-5, 1e16]
+    rows = dynamics._CSV_BLOCK_ROWS + 3
+    values = np.random.default_rng(5).choice(np.array(specials), size=(rows, 7))
+    values[0] = specials[:7]
+    columns = (values[:, 0], values[:, 1:4], values[:, 4:])
+    for start in (0, dynamics._CSV_BLOCK_ROWS):
+        block = values[start : start + dynamics._CSV_BLOCK_ROWS].tolist()
+        want = "".join(",".join(map(repr, row)) + "\n" for row in block)
+        assert dynamics._csv_block(columns, start) == want
+    assert dynamics._csv_block(columns, 0).startswith("0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
 
 
 def _die_in_worker(parent: int):

@@ -257,3 +257,15 @@ def test_estimation_summary_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == summary.mean_a[0]
+
+
+def test_estimation_summary_csv_is_the_plain_repr_join(tmp_path):
+    # The step column is integers stacked as objects with the float curves;
+    # two row blocks, each the plain repr of every value.
+    summary = run_estimation_study(EstimationConfig(nodes=4, runs=2, horizon=1100, seed=3))
+    path = tmp_path / "mc.csv"
+    summary.write_csv(path)
+    names = ["mean_a", "mean_b", "mean_c", "mean_d", "std_a", "std_b", "std_c", "std_d"]
+    columns = [summary.steps.tolist()] + [getattr(summary, name).tolist() for name in names]
+    want = "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+    assert path.read_text() == "step," + ",".join(names) + "\n" + want

@@ -190,6 +190,17 @@ def test_delay_span_zero_means_no_delay():
     assert all(e.delay_s == 0.0 for e in g.edges)
 
 
+def test_delay_span_needs_two_distinct_positions_only_when_links_exist():
+    # A lone node has no links, so any wave speed serves its delay span.
+    net = ensure_connectivity(RadioConfig(n=1, delay_span_s=0.02), "SC")
+    assert net.graph.n == 1 and net.graph.dst.size == 0
+    assert classify(net.graph).kind is ConnectivityClass.SC
+    # Two or more coincident nodes leave the span unsolvable.
+    coincident = RadioConfig(n=2, area_side=0.0, fading=Fading.RAYLEIGH, delay_span_s=0.02)
+    with pytest.raises(ValueError, match="all nodes are coincident"):
+        ensure_connectivity(coincident, "SC")
+
+
 # === Connectivity retry loop ===
 
 def test_ensure_connectivity_reaches_sc():

@@ -38,7 +38,7 @@ from selfsync import (
     scc_decompose,
     simulate,
 )
-from selfsync import consensus
+from selfsync import consensus, dynamics
 from selfsync.digraph import _SC_ROUNDS, _root_block_null_vector, _root_blocks, _spread
 
 from _oracles import brute_reach, brute_root_union, euler_reference
@@ -230,6 +230,55 @@ def test_simulate_equals_plain_euler_oracle_bitwise(g, m_max, seed, data):
     states, derivs = euler_reference(g, weights, stats, 2.0, step_s, horizon, history)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.derivs, derivs)
+
+
+def _windowed_run(g, lags, window, seed, horizon=40, step_s=1e-3):
+    """``_integrate``'s blocks of ``window`` steps, joined, and the Euler oracle's run."""
+    g = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, np.array(lags) * step_s)
+    weights, stats, _ = _node_data(g.n, seed)
+    history = np.random.default_rng(seed).normal(0.0, 1.0, (max(lags) + 3, g.n))
+    cfg = SimConfig(2.0, step_s, horizon, history)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        blocks = [(s.copy(), d.copy()) for _, s, d in
+                  dynamics._integrate(g, NodeParams(weights=weights, stats=stats), cfg, window)]
+    got = tuple(np.concatenate(part) for part in zip(*blocks))
+    return got, euler_reference(g, weights, stats, 2.0, step_s, horizon, history)
+
+
+@props
+@given(graphs(min_edges=1), st.integers(1, 6), st.integers(1, 45), st.integers(0, 2**32 - 1),
+       st.data())
+def test_multi_step_tiles_equal_plain_euler_oracle_bitwise(g, lag_min, window, seed, data):
+    # Every lag is at least lag_min >= 1, so one tile gathers every link for
+    # lag_min + 1 steps; a window the span does not divide ends in a
+    # shorter tile, and the next window starts a fresh one.
+    lags = data.draw(st.lists(st.integers(lag_min, lag_min + 4),
+                              min_size=g.dst.size, max_size=g.dst.size))
+    (states, derivs), (want_states, want_derivs) = _windowed_run(g, lags, window, seed)
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(derivs, want_derivs)
+
+
+@props
+@given(graphs(min_edges=1), st.integers(0, 3), st.integers(1, 45), st.integers(0, 2**32 - 1),
+       st.data())
+def test_small_tiles_around_unheard_nodes_equal_plain_euler_oracle_bitwise(
+        g, lag_min, window, seed, data):
+    # Node 0 hears nobody, so the per-segment sums reach the nodes through
+    # the fancy store.  A tile cap below one step's links splits each step
+    # into tiles of whole listener segments (a longer segment alone); a cap
+    # of a few steps' links, with lag_min >= 1, tiles several steps.
+    g = Digraph.from_arrays(g.n + 1, np.append(g.dst + 1, 1), np.append(g.src + 1, 0),
+                            np.append(g.gain, 0.7), np.append(g.delay_s, 0.0))
+    cap = data.draw(st.integers(1, 3 * g.dst.size))
+    lags = data.draw(st.lists(st.integers(lag_min, lag_min + 4),
+                              min_size=g.dst.size, max_size=g.dst.size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_LINKS", cap)
+        (states, derivs), (want_states, want_derivs) = _windowed_run(g, lags, window, seed)
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(derivs, want_derivs)
 
 
 @props
