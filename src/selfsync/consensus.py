@@ -120,31 +120,13 @@ def predict(
     when a single root component drives the whole network.  The prediction
     is invariant to how the influence vector is normalized.
     """
-    if params.n != g.n:
-        raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
-    if not np.isfinite(coupling) or coupling < 0:
-        raise ValueError("coupling must be finite and nonnegative")
-    report = classify(g)
-
-    if quantize_step is None:
-        delays = g.delay_s
-    else:
-        delays = quantize_delays(g, quantize_step) * quantize_step
-    delay_load = np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
-
-    gamma, reach = report.influence, report.reach
+    report, delay_load = _closed_form_inputs(g, params, coupling, quantize_step)
+    rates = _root_rates(report, params, coupling, delay_load)
+    reach = report.reach
     owners = reach.sum(axis=0)
 
     clusters = []
-    for k, root_idx in enumerate(report.root_sccs):
-        nodes = np.asarray(report.sccs[root_idx], dtype=int)
-        block = gamma[nodes]
-        num = float(np.sum(block * params.weights[nodes] * params.stats[nodes]))
-        den = float(
-            np.sum(block * params.weights[nodes])
-            + coupling * np.sum(block * delay_load[nodes])
-        )
-        omega = num / den
+    for k, (root_idx, omega) in enumerate(zip(report.root_sccs, rates)):
         members = tuple(np.flatnonzero(reach[k] & (owners == 1)).tolist())
         clusters.append(
             ClusterPrediction(members=members, root=tuple(report.sccs[root_idx]), omega=omega)
@@ -158,6 +140,36 @@ def predict(
         global_omega=global_omega,
         unresolved=unresolved,
     )
+
+
+def _closed_form_inputs(g: Digraph, params: NodeParams, coupling: float,
+                        quantize_step: "float | None"):
+    """Validate, then the report and each listener's gain-weighted delay sum."""
+    if params.n != g.n:
+        raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
+    if not np.isfinite(coupling) or coupling < 0:
+        raise ValueError("coupling must be finite and nonnegative")
+    report = classify(g)
+    if quantize_step is None:
+        delays = g.delay_s
+    else:
+        delays = quantize_delays(g, quantize_step) * quantize_step
+    return report, np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
+
+
+def _root_rates(report, params: NodeParams, coupling: float, delay_load: np.ndarray) -> list:
+    """The closed-form rate of each root component, in ``root_sccs`` order."""
+    rates = []
+    for root_idx in report.root_sccs:
+        nodes = np.asarray(report.sccs[root_idx], dtype=int)
+        block = report.influence[nodes]
+        num = float(np.sum(block * params.weights[nodes] * params.stats[nodes]))
+        den = float(
+            np.sum(block * params.weights[nodes])
+            + coupling * np.sum(block * delay_load[nodes])
+        )
+        rates.append(num / den)
+    return rates
 
 
 class DebiasMode(str, Enum):
@@ -220,12 +232,12 @@ def debias_two_step(
         omega_stat = _global_rate(both[:, : g.n], "statistic run")
         omega_ref = _global_rate(both[:, g.n :], "all-ones run")
     else:
-        pred_stat = predict(g, params, cfg.coupling, quantize_step=cfg.step_s)
-        pred_ref = predict(g, ones, cfg.coupling, quantize_step=cfg.step_s)
-        if pred_stat.global_omega is None:
+        # Both closed forms share the report and the delay load.
+        report, delay_load = _closed_form_inputs(g, params, cfg.coupling, cfg.step_s)
+        if len(report.root_sccs) != 1:
             raise DebiasError("two-step debias needs a single root component")
-        omega_stat = pred_stat.global_omega
-        omega_ref = pred_ref.global_omega
+        (omega_stat,) = _root_rates(report, params, cfg.coupling, delay_load)
+        (omega_ref,) = _root_rates(report, ones, cfg.coupling, delay_load)
     if abs(omega_ref) < DEGENERATE_REFERENCE:
         raise DegenerateDebiasError(
             f"all-ones reference rate {omega_ref:.3e} is numerically zero"

@@ -49,6 +49,10 @@ NULL_RESIDUAL_RTOL = 1e-10
 # more (a long ring or chain) falls back to Tarjan.
 _SC_ROUNDS = 8
 
+# Lazy random-walk rounds that guess where a root block's null vector
+# peaks, so that the solve pinned there is usually the only one.
+_WALK_ROUNDS = 8
+
 # Edge columns, in ``Edge`` field order; the first two hold node ids.
 _COLUMNS = ("dst", "src", "gain", "delay_s")
 
@@ -129,7 +133,9 @@ class Digraph:
         dst, src, gain, delay_s = cols
         keys = dst * n + src
         repeated = np.zeros(dst.size, dtype=bool)
-        if np.any(np.diff(np.sort(keys)) == 0):  # only then find which edge repeats first
+        # Strictly increasing keys (generated graphs and their unions) cannot
+        # repeat; otherwise sort, and only on a repeat find which edge is first.
+        if not np.all(keys[1:] > keys[:-1]) and np.any(np.diff(np.sort(keys)) == 0):
             repeated[:] = True
             repeated[np.unique(keys, return_index=True)[1]] = False
         for bad, what in (
@@ -368,6 +374,8 @@ def classify(g: Digraph) -> ConnectivityReport:
     ``_SC_ROUNDS`` rounds: node 0 reaching every node along the links, and
     every node reaching node 0 against them.  When both cover every node
     the report needs no Tarjan pass; otherwise Tarjan finds the components.
+    A single component reaches every node, so only several components
+    need their reach closed along the links.
     The graph is immutable, so the report is computed once, stored on it
     and shared (with read-only ``influence`` and ``reach``) by every later
     call.
@@ -378,11 +386,13 @@ def classify(g: Digraph) -> ConnectivityReport:
     if (_spread(g.src, g.dst, np.eye(1, g.n, dtype=bool), _SC_ROUNDS).all()
             and _spread(g.dst, g.src, np.eye(1, g.n, dtype=bool), _SC_ROUNDS).all()):
         sccs, condensation, root_sccs = (tuple(range(g.n)),), (), (0,)
-        reach = np.ones((1, g.n), dtype=bool)
     else:
         sccs, condensation = scc_decompose(g)
         heard_from_outside = {b for (_a, b) in condensation}
         root_sccs = tuple(i for i in range(len(sccs)) if i not in heard_from_outside)
+    if len(sccs) == 1:  # the one root reaches every node: no closure to run
+        reach = np.ones((1, g.n), dtype=bool)
+    else:
         reach = np.zeros((len(root_sccs), g.n), dtype=bool)
         for k, ri in enumerate(root_sccs):
             reach[k, list(sccs[ri])] = True
@@ -429,8 +439,11 @@ def _root_blocks(g: Digraph, roots: "list[tuple[int, ...]]"):
     starts inside it, and its rows of ``L`` vanish outside its own block.
     Each block is assembled from those links alone, so no ``n x n`` matrix
     is built unless one root holds every node (a strongly connected
-    graph), whose block is then exactly ``laplacian(g)``.
+    graph), whose block is then ``laplacian(g)`` itself.
     """
+    if len(roots) == 1 and len(roots[0]) == g.n:
+        yield np.arange(g.n), laplacian(g)
+        return
     owner = np.full(g.n, -1)
     pos = np.zeros(g.n, dtype=np.int64)
     for k, nodes in enumerate(roots):
@@ -466,20 +479,29 @@ def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
     A strongly connected block has a one-dimensional left null space
     spanned by a positive vector, so pinning any one coordinate to 1 and
     solving the remaining equations of ``block.T @ x = 0`` is a
-    nonsingular system.  The first solve pins node 0; when another node
-    carries more influence, a second solve pins that node, so the small
-    entries keep their relative accuracy however widely influence varies.
-    The solution is scaled to unit 2-norm before its residual is checked.
-    Raises :class:`NullSpaceError` when the solution is not strictly
-    positive or leaves a residual above tolerance (a malformed gain
-    matrix).
+    nonsingular system.  The pin is the node carrying the most influence,
+    so the small entries keep their relative accuracy however widely
+    influence varies.  A few rounds of the lazy random walk
+    ``pi <- pi - (pi / d) @ block / 2`` (``d`` the block's diagonal, whose
+    stationary ``pi / d`` is proportional to the null vector) guess that
+    node; only when the solution peaks elsewhere is it solved again,
+    pinned at its peak.  The solution is scaled to unit 2-norm before its
+    residual is checked.  Raises :class:`NullSpaceError` when the solution
+    is not strictly positive or leaves a residual above tolerance (a
+    malformed gain matrix).
     """
     k = block.shape[0]
     if k == 1:
         return np.ones(1)
-    x = _pinned_solve(block, 0)
+    d = np.diagonal(block)
+    pi = np.full(k, 1.0 / k)
+    with np.errstate(all="ignore"):  # a defective block fails in the solve instead
+        for _ in range(_WALK_ROUNDS):
+            pi = pi - 0.5 * ((pi / d) @ block)
+        guess = int(np.argmax(pi / d))
+    x = _pinned_solve(block, guess)
     top = int(np.argmax(x))
-    if top != 0:
+    if top != guess:
         x = _pinned_solve(block, top)
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
         raise NullSpaceError("root component null vector is not strictly positive")

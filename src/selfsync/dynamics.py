@@ -208,10 +208,11 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
 
     # Links sorted by listener (stably, so each listener keeps its edge
     # order): heard node heard[j] owns the segment first[j] .. first[j + 1].
-    order = np.argsort(g.dst, kind="stable")
-    dsts, gains = g.dst[order], g.gain[order]
     # At block step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
-    taps = ((m_max - lags) * n + g.src)[order]
+    dsts, gains, taps = g.dst, g.gain, (m_max - lags) * n + g.src
+    if np.any(dsts[1:] < dsts[:-1]):  # generated graphs come sorted already
+        order = np.argsort(dsts, kind="stable")
+        dsts, gains, taps = dsts[order], gains[order], taps[order]
     first = np.flatnonzero(np.diff(dsts, prepend=-1))
     heard = dsts[first]
     links, segs = gains.size, first.size

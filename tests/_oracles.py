@@ -1,7 +1,8 @@
 """Brute-force reference implementations shared by the test modules.
 
-Everything here works from boolean reachability matrices only, sharing no
-code path with the package under test.
+The reachability oracles work from boolean matrices only, and the others
+by plain loops or plain dense solves, sharing no code path with the
+package under test.
 """
 import numpy as np
 
@@ -58,6 +59,28 @@ def brute_root_union(n: int, adj: np.ndarray) -> set:
         if not incoming:
             roots |= scc
     return roots
+
+
+def two_solve_null_vector(block: np.ndarray) -> np.ndarray:
+    """Unit left null vector of a root block, from the solve pinned at its peak.
+
+    The first solve pins node 0 to 1; when the solution peaks elsewhere, a
+    second solve pins that peak.  Each solve replaces the pinned row of
+    ``block.T`` by the unit row, as the package does.
+    """
+    def pinned(pin):
+        system = block.T.copy()
+        system[pin, :] = 0.0
+        system[pin, pin] = 1.0
+        return np.linalg.solve(system, np.eye(block.shape[0])[pin])
+
+    if block.shape[0] == 1:
+        return np.ones(1)
+    x = pinned(0)
+    top = int(np.argmax(x))
+    if top != 0:
+        x = pinned(top)
+    return x / np.linalg.norm(x)
 
 
 def graph_from_adj(

@@ -294,6 +294,15 @@ def test_debias_needs_single_root():
         debias_two_step(g, params, cfg, DebiasMode.SIMULATED)
     with pytest.raises(DebiasError):
         debias_two_step(g, params, cfg, DebiasMode.ANALYTIC)
+    # Two roots heard by one node: weakly connected, still not one root.
+    fork = Digraph(3, (Edge(2, 0, 1.0, 0.0), Edge(2, 1, 1.0, 0.0)))
+    with pytest.raises(DebiasError, match="single root component"):
+        debias_two_step(fork, NodeParams(weights=np.ones(3), stats=np.ones(3)), cfg,
+                        DebiasMode.ANALYTIC)
+    # Mismatched params are a ValueError, checked before the root count.
+    for mode in DebiasMode:
+        with pytest.raises(ValueError, match="params are for 3 nodes, graph has 4"):
+            debias_two_step(g, NodeParams(weights=np.ones(3), stats=np.ones(3)), cfg, mode)
 
 
 def test_debias_degenerate_reference():

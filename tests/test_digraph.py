@@ -45,6 +45,11 @@ def test_edge_validation():
         Digraph(2, (Edge(0, 1, 1.0, -0.5),))  # negative delay
     with pytest.raises(GraphFormatError):
         Digraph(2, (Edge(0, 1, 1.0, 0.0), Edge(0, 1, 2.0, 0.0)))  # duplicate
+    # The repeated edge is named whether the links come sorted (the repeat
+    # adjacent) or not.
+    for dst, src in (([0, 1, 1, 2], [1, 0, 0, 0]), ([1, 2, 0, 1], [0, 0, 1, 0])):
+        with pytest.raises(GraphFormatError, match=r"edge \(dst=1, src=0\) repeats an earlier edge"):
+            Digraph.from_arrays(3, dst, src, np.ones(4), np.zeros(4))
     with pytest.raises(GraphFormatError):
         Digraph(0, ())
 
@@ -337,6 +342,60 @@ def test_tarjan_runs_once_per_classification(case, tarjan_calls, monkeypatch):
         g = Digraph(n, [Edge((i + 1) % n, i, 1.0, 0.0) for i in range(n)])
     assert classify(g).kind is kind
     assert len(calls) == tarjan_calls
+
+
+@pytest.mark.parametrize("n, ring", [
+    pytest.param(40, False, id="rayleigh-40"),
+    pytest.param(160, False, id="rayleigh-160"),
+    pytest.param(640, False, id="rayleigh-640"),
+    pytest.param(400, True, id="ring-400"),
+])
+def test_one_dense_solve_per_strongly_connected_classification(n, ring, monkeypatch):
+    # The random walk guesses where the influence peaks, so the solve pinned
+    # there is the only one.
+    from selfsync import digraph
+    from selfsync.netgen import Fading, RadioConfig, ensure_connectivity
+
+    if ring:
+        heard = np.random.default_rng(0).uniform(0.5, 2.0, n)
+        ahead = (np.arange(n) + 1) % n
+        g = Digraph.from_arrays(n, ahead, np.arange(n), heard[ahead], np.zeros(n))
+    else:
+        radio = RadioConfig(n=n, hear_threshold={40: 1.0, 160: 0.5, 640: 0.1}[n],
+                            fading=Fading.RAYLEIGH, delay_span_s=0.02, seed=n)
+        g = ensure_connectivity(radio, "SC").graph
+        g = Digraph.from_arrays(g.n, g.dst, g.src, g.gain, g.delay_s)  # not yet classified
+    pins = []
+    solve = digraph._pinned_solve
+
+    def counted(block, pin):
+        pins.append(pin)
+        return solve(block, pin)
+
+    monkeypatch.setattr(digraph, "_pinned_solve", counted)
+    report = classify(g)
+    assert report.kind is ConnectivityClass.SC
+    assert pins == [int(np.argmax(report.influence))]
+
+
+def test_single_component_skips_the_reach_closure(monkeypatch):
+    # A ring longer than both capped sweeps goes to Tarjan, which finds one
+    # component; its root reaches every node without an uncapped spread.
+    from selfsync import digraph
+
+    rounds = []
+    spread = digraph._spread
+
+    def counted(tails, heads, reach, cap=None):
+        rounds.append(cap)
+        return spread(tails, heads, reach, cap)
+
+    monkeypatch.setattr(digraph, "_spread", counted)
+    n = 2 * digraph._SC_ROUNDS + 1
+    report = classify(Digraph(n, [Edge((i + 1) % n, i, 1.0, 0.0) for i in range(n)]))
+    assert report.kind is ConnectivityClass.SC
+    assert rounds and set(rounds) == {digraph._SC_ROUNDS} and len(rounds) <= 2
+    assert report.reach.shape == (1, n) and report.reach.all()
 
 
 def test_failed_classification_is_not_cached(monkeypatch):

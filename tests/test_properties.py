@@ -41,7 +41,7 @@ from selfsync import (
 from selfsync import consensus, dynamics
 from selfsync.digraph import _SC_ROUNDS, _root_block_null_vector, _root_blocks, _spread
 
-from _oracles import brute_reach, brute_root_union, euler_reference
+from _oracles import brute_reach, brute_root_union, euler_reference, two_solve_null_vector
 
 props = settings(deadline=None, max_examples=60)
 
@@ -204,14 +204,20 @@ def test_simulation_ignores_how_listeners_interleave(g, rnd, seed):
     queues = {d: [e for e in range(g.dst.size) if g.dst[e] == d] for d in set(slots)}
     order = [queues[d].pop(0) for d in slots]
     dealt = Digraph.from_arrays(g.n, g.dst[order], g.src[order], g.gain[order], g.delay_s[order])
+    # The listener-sorted graph, stepped without a sort of its own.
+    ranked = np.argsort(g.dst, kind="stable")
+    ordered = Digraph.from_arrays(g.n, g.dst[ranked], g.src[ranked], g.gain[ranked],
+                                  g.delay_s[ranked])
     weights, stats, _ = _node_data(g.n, seed)
     history = np.random.default_rng(seed).normal(0.0, 1.0, (25, g.n))
     cfg = SimConfig(2.0, 1e-3, 40, history)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        a, b = (simulate(x, NodeParams(weights=weights, stats=stats), cfg) for x in (g, dealt))
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.derivs, b.derivs)
+        want, *runs = (simulate(x, NodeParams(weights=weights, stats=stats), cfg)
+                       for x in (ordered, g, dealt))
+    for run in runs:
+        assert np.array_equal(run.states, want.states)
+        assert np.array_equal(run.derivs, want.derivs)
 
 
 @props
@@ -414,6 +420,35 @@ def test_classify_matches_the_tarjan_assembly(g):
     assert np.array_equal(report.influence, influence)
 
 
+@st.composite
+def uniform_rings(draw, max_n=3 * _SC_ROUNDS):
+    """Directed rings with one gain on every link: every influence entry ties."""
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(n)))
+    gain = draw(gains)
+    return Digraph(n, [Edge(order[(i + 1) % n], order[i], gain, 0.0) for i in range(n)])
+
+
+def _biased_chain(n: int = 12) -> Digraph:
+    """Node i hears i+1 with gain 1 and i-1 with gain 0.1: influence spans n-1 decades."""
+    return Digraph(n, [Edge(i, i + 1, 1.0, 0.0) for i in range(n - 1)]
+                   + [Edge(i + 1, i, 0.1, 0.0) for i in range(n - 1)])
+
+
+@props
+@given(st.one_of(graphs(), long_cycles(), sc_rayleigh_draws(), uniform_rings()))
+@example(_biased_chain())
+@example(Digraph(400, [Edge((i + 1) % 400, i, 1.0, 0.0) for i in range(400)]))
+def test_influence_is_the_two_solve_null_vector_bitwise(g):
+    # One solve pinned at the walk's guess, or a second at the solution's
+    # peak, ends on the pin the two-solve oracle ends on.
+    report = classify(g)
+    want = np.zeros(g.n)
+    for nodes, block in _root_blocks(g, [report.sccs[i] for i in report.root_sccs]):
+        want[nodes] = two_solve_null_vector(block)
+    assert np.array_equal(report.influence, want)
+
+
 @props
 @given(graphs(), st.integers(0, 2**32 - 1), st.data())
 def test_predict_keeps_cluster_rates_when_root_blocks_are_rescaled(g, seed, data):
@@ -446,6 +481,18 @@ def test_analytic_debias_is_the_influence_weighted_mean(g, coupling, step_s, see
     gamma = classify(g).influence
     want = float(gamma @ (weights * stats)) / float(gamma @ weights)
     assert result.estimate == pytest.approx(want, rel=1e-12)
+
+
+@props
+@given(rooted_graphs(), st.floats(0.01, 100.0), st.sampled_from([1e-4, 1e-3, 1e-2]),
+       st.integers(0, 2**32 - 1))
+def test_analytic_debias_divides_the_two_predicted_rates_bitwise(g, coupling, step_s, seed):
+    rng = np.random.default_rng(seed)
+    params = NodeParams(weights=rng.uniform(0.5, 2.0, g.n), stats=rng.normal(1.0, 1.0, g.n))
+    ones = NodeParams(weights=params.weights, stats=np.ones(g.n))
+    result = debias_two_step(g, params, SimConfig(coupling, step_s, 2), DebiasMode.ANALYTIC)
+    stat, ref = (predict(g, p, coupling, quantize_step=step_s).global_omega for p in (params, ones))
+    assert (result.omega_stat, result.omega_reference, result.estimate) == (stat, ref, stat / ref)
 
 
 # Link delays for the union property: zero lag, a few steps, or a lag
