@@ -53,6 +53,10 @@ _SC_ROUNDS = 8
 # peaks, so that the solve pinned there is usually the only one.
 _WALK_ROUNDS = 8
 
+# Entries within this fraction of a null vector's peak tie with it: which
+# of them a solve reads as the peak then rests on its last bits.
+_PEAK_TIE = 1e-9
+
 # Edge columns, in ``Edge`` field order; the first two hold node ids.
 _COLUMNS = ("dst", "src", "gain", "delay_s")
 
@@ -485,10 +489,11 @@ def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
     ``pi <- pi - (pi / d) @ block / 2`` (``d`` the block's diagonal, whose
     stationary ``pi / d`` is proportional to the null vector) guess that
     node; only when the solution peaks elsewhere is it solved again,
-    pinned at its peak.  The solution is scaled to unit 2-norm before its
-    residual is checked.  Raises :class:`NullSpaceError` when the solution
-    is not strictly positive or leaves a residual above tolerance (a
-    malformed gain matrix).
+    pinned at its peak.  Entries tying for the peak pin node 0 first, then
+    that solution's peak, whatever the walk guessed.  The solution is
+    scaled to unit 2-norm before its residual is checked.  Raises
+    :class:`NullSpaceError` when the solution is not strictly positive or
+    leaves a residual above tolerance (a malformed gain matrix).
     """
     k = block.shape[0]
     if k == 1:
@@ -501,6 +506,9 @@ def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
         guess = int(np.argmax(pi / d))
     x = _pinned_solve(block, guess)
     top = int(np.argmax(x))
+    if guess and np.count_nonzero(x >= (1.0 - _PEAK_TIE) * x[top]) > 1:
+        guess, x = 0, _pinned_solve(block, 0)
+        top = int(np.argmax(x))
     if top != guess:
         x = _pinned_solve(block, top)
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:

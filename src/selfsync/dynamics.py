@@ -13,6 +13,7 @@ math consuming these trajectories lives in :mod:`selfsync.consensus`.
 """
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import warnings
@@ -50,6 +51,17 @@ SYNC_TOL = 1e-6
 
 # Rows formatted per block when writing CSV.
 _CSV_BLOCK_ROWS = 1024
+
+# Bytes per value of a CSV block: the longest float text,
+# "-1.7976931348623157e+308", and the separator after it.
+_CSV_WIDTH = 25
+# Row L keeps the first L + 1 bytes of a value's row: its text and separator.
+_CSV_PREFIX = np.tri(_CSV_WIDTH, dtype=bool)
+
+# 10**0 .. 10**22, each exact in a double, and its Veltkamp split at 2**27 + 1.
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HEAD = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
+_POW10_TAIL = _POW10 - _POW10_HEAD
 
 # (link, step) pairs gathered, weighted and summed per tile of the step
 # kernel; a tile's buffers then stay in cache.
@@ -385,22 +397,129 @@ def detect_consensus(derivs: np.ndarray) -> ConsensusVerdict:
     return ConsensusVerdict(kind=kind, omega=omega, groups=groups, unsettled=unsettled)
 
 
-def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> str:
-    """CSV text of rows ``start .. start + _CSV_BLOCK_ROWS`` of the side-by-side columns.
+@functools.cache
+def _digits4() -> np.ndarray:
+    """The ASCII digits of 0000 .. 9999, four bytes to a uint32."""
+    quads = 48 + np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    return quads.astype(np.uint8).view(np.uint32).ravel()
 
-    Every value is written at full precision, as its ``repr``.  A float
-    block formats each distinct value once, distinct by its bits so that
-    0.0 and -0.0 keep their own text, and builds its rows from those
-    strings; a settled trajectory repeats most of its derivatives exactly.
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``a * 10**k`` exactly, as the rounded product and its error (Dekker's TwoProduct)."""
+    hi = a * _POW10.take(k)
+    c = 134217729.0 * a  # Veltkamp's split at 2**27 + 1
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = _POW10_HEAD.take(k), _POW10_TAIL.take(k)
+    return hi, (((ah * bh - hi) + ah * bl) + al * bh) + al * bl
+
+
+def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``repr`` of each float64 of ``values``: ``(len, _CSV_WIDTH)`` uint8 rows and lengths.
+
+    A value with ``1e-4 <= |x| < 1e16`` (where ``repr`` is positional) and
+    a nonzero mantissa field is scaled exactly, ``y = |x| * 10**k = hi + lo``
+    in ``[1e16, 1e17)``; every decimal within ``h``, half its spacing times
+    ``10**k``, reads back as ``x``.  The interval is symmetric, so it holds
+    a multiple of ``10**j`` exactly when it holds the closest one, and the
+    last such candidate is the shortest, closest text: ``repr``'s.  Values
+    within ``2**-40 * h`` of the edge, ties between two candidates, zeros,
+    non-finite, subnormal and power-of-two values (asymmetric intervals),
+    and values outside the range take ``repr``, once per distinct bit pattern.
     """
-    block = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
-    if block.dtype == np.float64:
-        distinct, index = np.unique(block.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        rows = text[index.reshape(block.shape)].tolist()
-    else:
-        rows = [map(repr, row) for row in block.tolist()]
-    return "\n".join(map(",".join, rows)) + "\n"
+    n, bits, mag = values.size, values.view(np.int64), np.abs(values)
+    fast = (mag >= 1e-4) & (mag < 1e16) & (bits & (2**52 - 1) != 0)
+    a = np.where(fast, mag, 1.5)
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, k)
+    below, above = (hi < 1e16) | ((hi == 1e16) & (lo < 0)), (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    if below.any() or above.any():
+        k += below.astype(np.intp) - above
+        hi, lo = _scaled(a, k)
+    # h: half the spacing of a, 2**(e - 53) for its exponent e, times 10**k.
+    h = ((a.view(np.int64) & (0x7FF << 52)) - (53 << 52)).view(np.float64) * _POW10.take(k)
+    top, frac = hi.astype(np.int64), np.floor(lo)
+    whole, up, mid = top + frac.astype(np.int64), lo != frac, frac + 0.5
+    # Seventeen digits always fit (h > 0.55): y rounded half to even.
+    unsure = lo == mid
+    digits = whole + ((lo > mid) | (unsure & (whole & 1 == 1)))
+    zeros, live = np.zeros(n, np.int64), np.arange(n)
+    for j in range(1, 17):
+        unit = 10**j
+        cand = whole // unit * unit
+        rest = whole - cand
+        at_half = rest == unit // 2
+        cand += unit * ((rest > unit // 2) | (at_half & up))
+        miss = np.abs((cand - top).astype(np.float64) - lo)
+        keep = miss < h
+        doubt = np.abs(miss - h) <= h * 2.0**-40
+        doubt |= at_half & keep & ~up  # a tie between two candidates inside
+        unsure[live[doubt]] = True
+        pos = np.flatnonzero(keep)
+        live = live[pos]
+        digits[live], zeros[live] = cand[pos], j
+        if not live.size:
+            break
+        whole, top, lo, h, up = whole[pos], top[pos], lo[pos], h[pos], up[pos]
+    # No kept candidate is 10**17: no power of ten in range has its nearest double below it.
+    point, neg = 17 - k, bits < 0
+    length = neg + np.maximum(point, 1) + 1 + np.maximum(17 - zeros - point, 1)
+
+    # Sort the values into runs of one (sign, decimal point) layout; key 0 falls back.
+    key = np.where(fast & ~unsure, neg * 32 + point + 4, 0).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    counts, digits = np.bincount(key), digits.take(order)
+    # The ASCII digits from a lead digit ("000d") and four groups of four.
+    head = digits // 10**8
+    lead = head // 10**8
+    quads, table = np.empty((n, 5), np.uint32), _digits4()
+    quads[:, 0] = table.take(lead)
+    for col, part in ((1, head - lead * 10**8), (3, digits - head * 10**8)):
+        upper = part // 10**4
+        quads[:, col], quads[:, col + 1] = table.take(upper), table.take(part - upper * 10**4)
+    ascii, text = quads.view(np.uint8)[:, 3:], np.empty((n, _CSV_WIDTH), np.uint8)
+    for run in np.flatnonzero(counts[1:]) + 1:
+        rows = slice(counts[:run].sum(), counts[: run + 1].sum())
+        out, d = text[rows], ascii[rows]
+        s, p = divmod(int(run), 32)
+        p -= 4
+        out[:, 0] = 45  # "-", overwritten when positive
+        if p > 0:
+            out[:, s : s + p], out[:, s + p], out[:, s + p + 1 : s + 18] = d[:, :p], 46, d[:, p:]
+        else:
+            out[:, s : s + 2 - p] = np.frombuffer(b"0.000", np.uint8)[: 2 - p]
+            out[:, s + 2 - p : s + 19 - p] = d
+
+    slow = order[: counts[0]]
+    if slow.size:
+        distinct, which = np.unique(bits[slow], return_inverse=True)
+        reprs = list(map(repr, distinct.view(np.float64).tolist()))
+        padded = "".join(r.ljust(_CSV_WIDTH) for r in reprs).encode()
+        text[: slow.size] = np.frombuffer(padded, np.uint8).reshape(-1, _CSV_WIDTH)[which]
+        length[slow] = np.fromiter(map(len, reprs), np.int64, len(reprs))[which]
+    back = np.empty(n, np.intp)
+    back[order] = np.arange(n)
+    return text.take(back, axis=0), length
+
+
+def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> bytes:
+    """CSV bytes of rows ``start .. start + _CSV_BLOCK_ROWS`` of the side-by-side columns.
+
+    Every value is written as its ``repr``; integer columns (exact as
+    floats below 2**53) drop the ``.0``.
+    """
+    cols = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
+    ints = np.concatenate([np.full(c[0].size, c.dtype.kind in "iu") for c in cols])
+    block = np.column_stack(cols).astype(np.float64, copy=False)
+    if np.any(np.abs(block[:, ints]) >= 2.0**53):
+        raise ValueError("integer CSV columns must stay below 2**53 in magnitude")
+    text, length = _repr_text(block.ravel())
+    length = length.reshape(block.shape) - 2 * ints
+    text = text.reshape(*block.shape, _CSV_WIDTH)
+    ends = np.full((block.shape[1], 1), ord(","), np.uint8)
+    ends[-1] = ord("\n")
+    np.put_along_axis(text, length[..., None], ends, axis=2)
+    return text[_CSV_PREFIX.take(length, axis=0)].tobytes()
 
 
 # The columns a pool worker formats, inherited from the writer at fork.
@@ -412,7 +531,7 @@ def _adopt_columns(columns: "tuple[np.ndarray, ...]") -> None:
     _worker_columns = columns
 
 
-def _worker_block(start: int) -> str:
+def _worker_block(start: int) -> bytes:
     return _csv_block(_worker_columns, start)
 
 
@@ -441,8 +560,8 @@ def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]
     """
     starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
     workers = _csv_workers(len(starts))
-    with open(path, "w") as f:
-        f.write(header + "\n")
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
         if workers < 2:
             for start in starts:
                 f.write(_csv_block(columns, start))
@@ -451,7 +570,7 @@ def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        f.flush()  # leave no buffered text for a forked worker to copy
+        f.flush()  # leave no buffered bytes for a forked worker to copy
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_adopt_columns, initargs=(columns,))
         try:

@@ -235,9 +235,8 @@ class McSummary:
 
     def write_csv(self, path: "str | Path") -> None:
         header = "step,mean_a,mean_b,mean_c,mean_d,std_a,std_b,std_c,std_d"
-        # As objects, the steps stay integers when stacked with the floats.
         cols = (
-            self.steps.astype(object),
+            self.steps,
             self.mean_a, self.mean_b, self.mean_c, self.mean_d,
             self.std_a, self.std_b, self.std_c, self.std_d,
         )

@@ -137,3 +137,8 @@ def euler_reference(g: Digraph, weights, stats, coupling: float, step_s: float,
         derivs.append(xdot)
         x.append([now[i] + step_s * xdot[i] for i in range(n)])
     return np.array(states), np.array(derivs)
+
+
+def repr_join(rows) -> str:
+    """CSV text of ``rows``: each value's ``repr``, comma-separated, one line per row."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)

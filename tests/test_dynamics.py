@@ -37,6 +37,8 @@ from selfsync import (
 from selfsync import dynamics
 from selfsync.dynamics import WINDOW
 
+from _oracles import repr_join
+
 
 def mutual_pair(delay: float = 0.0, gain: float = 1.0) -> Digraph:
     return Digraph(2, (Edge(0, 1, gain, delay), Edge(1, 0, gain, delay)))
@@ -422,8 +424,7 @@ def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, 
         assert dynamics._csv_workers(blocks) == min(len(cpus), blocks)
         traj.write_csv(path)
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"xdot_{i}" for i in range(n)])
-    want = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
-    assert path.read_bytes() == (header + "\n" + want).encode()
+    assert path.read_bytes() == (header + "\n" + repr_join(values.tolist())).encode()
     assert multiprocessing.active_children() == []
 
 
@@ -438,9 +439,94 @@ def test_csv_block_keys_distinct_values_by_their_bits():
     columns = (values[:, 0], values[:, 1:4], values[:, 4:])
     for start in (0, dynamics._CSV_BLOCK_ROWS):
         block = values[start : start + dynamics._CSV_BLOCK_ROWS].tolist()
-        want = "".join(",".join(map(repr, row)) + "\n" for row in block)
-        assert dynamics._csv_block(columns, start) == want
-    assert dynamics._csv_block(columns, 0).startswith("0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
+        assert dynamics._csv_block(columns, start) == repr_join(block).encode()
+    assert dynamics._csv_block(columns, 0).startswith(b"0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
+
+
+def _near_edge_values() -> list:
+    """Values in [1e-4, 1.2e-4) with a 16- or 15-digit candidate within 5**-18
+    of an edge of their rounding interval, relative to its half-width.
+
+    x = m * 2**-66 has its edges at (2m -+ 1) * 2**-67, and y = x * 10**20;
+    solving 5**(20 - j) * (2m -+ 1) = 1 (mod 2**(47 + j)) puts a multiple of
+    10**j that close to an edge.
+    """
+    values = []
+    for j in (1, 2):
+        half_mod = 2 ** (46 + j)
+        for sign in (1, -1):
+            m = (pow(5 ** (20 - j), -1, 2 * half_mod) + sign) % (2 * half_mod) // 2
+            m += -(-(int(1e-4 * 2**66) - m) // half_mod) * half_mod
+            values += [(m + i * half_mod) * 2.0**-66 for i in range(3)]
+    return values
+
+
+NEAR_EDGE = _near_edge_values()
+
+# Ties between two candidates inside the rounding interval: at 16 digits
+# (y = x * 10**k an integer ending in 5) and at 17 (y ending in .5).
+TIES = [9690124307582.0625, -77256148706487.875, 961686587088387.75, 1e15 + 0.25, 1e15 + 0.75]
+
+
+def _fallback_class(x: float) -> str:
+    mag = abs(x)
+    if x != x or mag == float("inf"):
+        return "non-finite"
+    if mag == 0.0 or mag < 2.2250738585072014e-308:
+        return "zero" if mag == 0.0 else "subnormal"
+    if not 1e-4 <= mag < 1e16:
+        return "out of range"
+    if np.frexp(mag)[0] == 0.5:
+        return "power of two"
+    return "tie" if x in TIES else "edge" if x in NEAR_EDGE else "other"
+
+
+def test_csv_kernel_sweep_is_the_plain_repr_join_and_takes_every_fallback(monkeypatch):
+    rng = np.random.default_rng(19)
+    tens = 10.0 ** np.arange(-5, 18)
+    places = 10.0 ** rng.integers(0, 8, 20_000)
+    sweep = np.concatenate([
+        rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64),
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens,
+        2.0 ** np.arange(-30, 61), -(2.0 ** np.arange(-30, 61)),
+        1e-4 * np.arange(20_000),
+        np.rint(rng.normal(0.0, 1e3, 20_000) * places) / places,
+        np.nextafter([1e-4, 1e-4, 1e16, 1e16], [0, 1, 0, 1e17]),
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, -1e-300],
+        TIES, NEAR_EDGE,
+    ])
+    sweep = np.append(sweep, np.zeros(-sweep.size % 9)).reshape(-1, 9)
+    fallen = []
+    monkeypatch.setattr(dynamics, "repr", lambda x: fallen.append(x) or repr(x), raising=False)
+    got = b"".join(dynamics._csv_block((sweep,), start)
+                   for start in range(0, len(sweep), dynamics._CSV_BLOCK_ROWS))
+    assert got == repr_join(sweep.tolist()).encode()
+    classes = {_fallback_class(x) for x in fallen}
+    assert classes >= {"non-finite", "zero", "subnormal", "out of range", "power of two",
+                       "tie", "edge"}
+
+
+@settings(deadline=None, max_examples=40)
+@given(rows=st.sampled_from([1, 2, 1023, 1025]),
+       cols=st.integers(1, 4),
+       pool=st.lists(st.floats(), min_size=1, max_size=30),
+       steps=st.none() | st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_blocks_are_the_plain_repr_join(rows, cols, pool, steps, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(pool), size=(rows, cols))
+    columns, lines = (values,), values.tolist()
+    if steps is not None:
+        ints = rng.choice(np.array(steps, dtype=np.int64), size=rows)
+        columns, lines = (ints, values), [[i, *row] for i, row in zip(ints.tolist(), lines)]
+    got = b"".join(dynamics._csv_block(columns, start)
+                   for start in range(0, rows, dynamics._CSV_BLOCK_ROWS))
+    assert got == repr_join(lines).encode()
+
+
+def test_integer_csv_columns_must_be_exact_as_floats():
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        dynamics._csv_block((np.array([2**53]), np.zeros(1)), 0)
 
 
 def _die_in_worker(parent: int):

@@ -439,6 +439,9 @@ def _biased_chain(n: int = 12) -> Digraph:
 @given(st.one_of(graphs(), long_cycles(), sc_rayleigh_draws(), uniform_rings()))
 @example(_biased_chain())
 @example(Digraph(400, [Edge((i + 1) % 400, i, 1.0, 0.0) for i in range(400)]))
+@example(Digraph(13, [  # a ring whose influence ties at nodes 1 and 5
+    Edge(dst, src, gain, 0.0) for dst, (src, gain) in enumerate(zip(
+        [5, 0, 1, 2, 3, 12, 4, 6, 7, 8, 9, 10, 11], [1, 0.5, 1, 1, 1, 0.5] + [1] * 6 + [1.9765625]))]))
 def test_influence_is_the_two_solve_null_vector_bitwise(g):
     # One solve pinned at the walk's guess, or a second at the solution's
     # peak, ends on the pin the two-solve oracle ends on.
@@ -447,6 +450,19 @@ def test_influence_is_the_two_solve_null_vector_bitwise(g):
     for nodes, block in _root_blocks(g, [report.sccs[i] for i in report.root_sccs]):
         want[nodes] = two_solve_null_vector(block)
     assert np.array_equal(report.influence, want)
+
+
+def test_tied_ring_influence_is_the_two_solve_null_vector_bitwise():
+    # Rings whose gains come from a few powers of two (and one near one)
+    # tie their largest influence entries, where the pin order shows.
+    rng = np.random.default_rng(19)
+    for _ in range(3000):
+        n = int(rng.integers(2, 25))
+        order, gain = rng.permutation(n), rng.choice([0.25, 0.5, 1.0, 2.0, 1.9765625], n)
+        g = Digraph(n, [Edge(int(order[(i + 1) % n]), int(order[i]), float(gain[i]), 0.0)
+                        for i in range(n)])
+        ((nodes, block),) = _root_blocks(g, [tuple(range(n))])
+        assert np.array_equal(classify(g).influence[nodes], two_solve_null_vector(block))
 
 
 @props
