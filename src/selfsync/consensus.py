@@ -42,7 +42,6 @@ __all__ = [
     "DebiasError",
     "DegenerateDebiasError",
     "DecisionRule",
-    "PREDICTION_SCHEMA",
     "predict",
     "debias_two_step",
     "ml_setup",
@@ -79,30 +78,6 @@ class ConsensusPrediction:
             "global_omega": self.global_omega,
             "unresolved": list(self.unresolved),
         }
-
-
-PREDICTION_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["class", "clusters", "global_omega", "unresolved"],
-    "properties": {
-        "class": {"enum": [k.value for k in ConnectivityClass]},
-        "clusters": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["members", "root", "omega"],
-                "properties": {
-                    "members": {"type": "array", "items": {"type": "integer"}},
-                    "root": {"type": "array", "items": {"type": "integer"}},
-                    "omega": {"type": "number"},
-                },
-            },
-        },
-        "global_omega": {"type": ["number", "null"]},
-        "unresolved": {"type": "array", "items": {"type": "integer"}},
-    },
-}
 
 
 def predict(

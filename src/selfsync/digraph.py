@@ -35,13 +35,12 @@ __all__ = [
     "laplacian",
     "scc_decompose",
     "classify",
-    "left_null_vector",
     "load_graph",
     "save_graph",
 ]
 
-# Residual bound for the left null vector, relative to the induced
-# infinity norm of the Laplacian.
+# Residual bound for a root block's left null vector, relative to the
+# block's induced infinity norm.
 NULL_RESIDUAL_RTOL = 1e-10
 
 # Rounds per direction of the strong-connectivity test in ``classify``.
@@ -175,22 +174,9 @@ class Digraph:
         a[self.dst, self.src] = self.gain
         return a
 
-    def delay_matrix(self) -> np.ndarray:
-        """Dense delay matrix aligned with :meth:`gain_matrix` (0 off-edge)."""
-        d = np.zeros((self.n, self.n))
-        d[self.dst, self.src] = self.delay_s
-        return d
-
-    def with_delays(self, delays: "np.ndarray | float") -> "Digraph":
-        """Copy of the graph with delays replaced.
-
-        ``delays`` is either a scalar applied to every edge or a dense
-        ``(n, n)`` matrix indexed like :meth:`delay_matrix`.
-        """
-        if np.isscalar(delays):
-            new = np.full(self.dst.size, float(delays))
-        else:
-            new = np.asarray(delays, dtype=float)[self.dst, self.src]
+    def with_delays(self, delay_s: float) -> "Digraph":
+        """Copy of the graph with every link's delay set to ``delay_s``."""
+        new = np.full(self.dst.size, float(delay_s))
         return Digraph.from_arrays(self.n, self.dst, self.src, self.gain, new)
 
 
@@ -521,29 +507,6 @@ def _root_block_null_vector(block: np.ndarray) -> np.ndarray:
             f"null vector residual {resid:.3e} exceeds {NULL_RESIDUAL_RTOL:.0e} * {block_scale:.3e}"
         )
     return x
-
-
-def left_null_vector(g: Digraph) -> np.ndarray:
-    """Nonnegative left null vector of the Laplacian, as a writable copy.
-
-    Entry ``i`` is positive exactly when node ``i`` belongs to a root
-    component (no outside influence); each root block is normalized to
-    unit 2-norm.  The assembled vector satisfies
-    ``max|gamma @ L| <= 1e-10 * norm_inf(L)``.
-    """
-    gamma = classify(g).influence.copy()
-    # Column j of gamma @ L, summed over the edges: gamma_j * received_j
-    # minus the gamma-weighted gains node j sends.  Row i of |L| sums to
-    # twice the gain node i receives, since the graph has no self-loops.
-    received = np.bincount(g.dst, weights=g.gain, minlength=g.n)
-    sent = np.bincount(g.src, weights=gamma[g.dst] * g.gain, minlength=g.n)
-    lap_norm = 2.0 * float(received.max())
-    resid = float(np.max(np.abs(gamma * received - sent)))
-    if resid > NULL_RESIDUAL_RTOL * max(lap_norm, 1e-300):
-        raise NullSpaceError(
-            f"left null vector residual {resid:.3e} exceeds tolerance for norm {lap_norm:.3e}"
-        )
-    return gamma
 
 
 def load_graph(path: "str | Path") -> Digraph:

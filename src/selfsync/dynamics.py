@@ -14,8 +14,6 @@ math consuming these trajectories lives in :mod:`selfsync.consensus`.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -502,10 +500,11 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return text.take(back, axis=0), length
 
 
-def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> bytes:
+def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> np.ndarray:
     """CSV bytes of rows ``start .. start + _CSV_BLOCK_ROWS`` of the side-by-side columns.
 
-    Every value is written as its ``repr``; integer columns (exact as
+    The bytes come back as a uint8 array, which a binary file writes as it
+    is.  Every value is written as its ``repr``; integer columns (exact as
     floats below 2**53) drop the ``.0``.
     """
     cols = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
@@ -519,67 +518,19 @@ def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> bytes:
     ends = np.full((block.shape[1], 1), ord(","), np.uint8)
     ends[-1] = ord("\n")
     np.put_along_axis(text, length[..., None], ends, axis=2)
-    return text[_CSV_PREFIX.take(length, axis=0)].tobytes()
-
-
-# The columns a pool worker formats, inherited from the writer at fork.
-_worker_columns: "tuple[np.ndarray, ...]" = ()
-
-
-def _adopt_columns(columns: "tuple[np.ndarray, ...]") -> None:
-    global _worker_columns
-    _worker_columns = columns
-
-
-def _worker_block(start: int) -> bytes:
-    return _csv_block(_worker_columns, start)
-
-
-def _csv_workers(blocks: int) -> int:
-    """Worker processes for ``blocks`` row blocks; below 2 the writer formats in-process.
-
-    Workers are forked, so that they inherit the columns; forking a process
-    that runs other threads is unsafe, so such a process gets none.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, blocks)
-    if workers < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing
-
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    return text[_CSV_PREFIX.take(length, axis=0)]
 
 
 def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]") -> None:
     """Write ``header`` and the rows of the side-by-side columns at full precision.
 
-    Row blocks are formatted by up to one forked worker process per usable
-    CPU and written in order as they arrive, so the bytes do not depend on
-    the worker count and the whole text is never held in memory. A worker
-    that dies is reported as an ``OSError``, like any failed write.
+    Rows are formatted and written one block at a time, so the whole text
+    is never held in memory.
     """
-    starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
-    workers = _csv_workers(len(starts))
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
-        if workers < 2:
-            for start in starts:
-                f.write(_csv_block(columns, start))
-            return
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        f.flush()  # leave no buffered bytes for a forked worker to copy
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_adopt_columns, initargs=(columns,))
-        try:
-            for text in pool.map(_worker_block, starts):
-                f.write(text)
-        except BrokenProcessPool as exc:
-            raise OSError(f"a CSV worker process died: {exc}") from exc
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            f.write(_csv_block(columns, start))
 
 
 def write_trajectory_csv(traj: Trajectory, path: "str | Path") -> None:

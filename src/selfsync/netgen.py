@@ -27,7 +27,6 @@ __all__ = [
     "GenerationBudgetError",
     "place_nodes",
     "build_channel",
-    "solved_wave_speed",
     "ensure_connectivity",
 ]
 
@@ -129,13 +128,8 @@ def _distances(positions: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def solved_wave_speed(cfg: RadioConfig, positions: np.ndarray) -> float:
-    """Wave speed actually used for this geometry (see ``delay_span_s``)."""
-    return _wave_speed(cfg, _distances(positions))
-
-
 def _wave_speed(cfg: RadioConfig, dist: np.ndarray) -> float:
-    """:func:`solved_wave_speed` from the pairwise distance matrix."""
+    """Wave speed used for the geometry of pairwise distances ``dist`` (see ``delay_span_s``)."""
     if cfg.delay_span_s is None:
         return cfg.wave_speed
     d_max = float(dist.max())

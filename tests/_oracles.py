@@ -2,7 +2,8 @@
 
 The reachability oracles work from boolean matrices only, and the others
 by plain loops or plain dense solves, sharing no code path with the
-package under test.
+package under test.  Dense delay matrices and the JSON-Schema of the
+prediction document live here too: only tests use them.
 """
 import numpy as np
 
@@ -99,6 +100,44 @@ def graph_from_adj(
     return Digraph(n, tuple(edges))
 
 
+def delay_matrix(g: Digraph) -> np.ndarray:
+    """Dense delay matrix aligned with ``g.gain_matrix()`` (0 off-edge)."""
+    d = np.zeros((g.n, g.n))
+    d[g.dst, g.src] = g.delay_s
+    return d
+
+
+def with_delay_matrix(g: Digraph, delays: np.ndarray) -> Digraph:
+    """Copy of ``g`` whose link ``dst <- src`` takes the delay ``delays[dst, src]``."""
+    new = np.asarray(delays, dtype=float)[g.dst, g.src]
+    return Digraph.from_arrays(g.n, g.dst, g.src, g.gain, new)
+
+
+# JSON-Schema of ``ConsensusPrediction.to_json_dict()``.
+PREDICTION_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["class", "clusters", "global_omega", "unresolved"],
+    "properties": {
+        "class": {"enum": [k.value for k in ConnectivityClass]},
+        "clusters": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["members", "root", "omega"],
+                "properties": {
+                    "members": {"type": "array", "items": {"type": "integer"}},
+                    "root": {"type": "array", "items": {"type": "integer"}},
+                    "omega": {"type": "number"},
+                },
+            },
+        },
+        "global_omega": {"type": ["number", "null"]},
+        "unresolved": {"type": "array", "items": {"type": "integer"}},
+    },
+}
+
+
 def euler_reference(g: Digraph, weights, stats, coupling: float, step_s: float,
                     horizon: int, history: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Explicit Euler by plain loops: ``(states, derivs)``, each ``(horizon, n)``.
@@ -112,7 +151,7 @@ def euler_reference(g: Digraph, weights, stats, coupling: float, step_s: float,
     so the arithmetic is the simulator's, operation for operation.
     """
     n = g.n
-    lags = [[round(d / step_s) for d in row] for row in g.delay_matrix().tolist()]
+    lags = [[round(d / step_s) for d in row] for row in delay_matrix(g).tolist()]
     m_max = max(max(row) for row in lags)
     x = [list(row) for row in np.asarray(history, dtype=float)[-(m_max + 1):].tolist()]
     rate = [coupling / c for c in np.asarray(weights, dtype=float).tolist()]

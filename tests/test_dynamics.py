@@ -7,11 +7,10 @@ links and coupling K settles its derivatives to
 tau = 0.5 gives the rate 2/3.
 """
 import csv
+import errno
 import io
-import multiprocessing
 import os
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -402,30 +401,22 @@ def test_trajectory_csv_round_trip(tmp_path):
 # largest finite values, and the switches between fixed and exponent form.
 SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
                   -1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7)
-# One CPU forces the in-process path; two force the worker pool.
-CPU_SETS = pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pooled"])
 
 
-@CPU_SETS
 @settings(deadline=None, max_examples=12)
 @given(rows=st.sampled_from([1, 1023, 1024, 1025, 2049]),
        n=st.integers(1, 3),
        pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
                      | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=40),
        seed=st.integers(0, 2**32 - 1))
-def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, pool, seed):
+def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, rows, n, pool, seed):
     rng = np.random.default_rng(seed)
     values = rng.choice(np.array(pool + list(SPECIAL_FLOATS)), size=(rows, 1 + 2 * n))
     traj = Trajectory(1e-3, values[:, 0], values[:, 1 : 1 + n], values[:, 1 + n :])
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        blocks = -(-rows // dynamics._CSV_BLOCK_ROWS)
-        assert dynamics._csv_workers(blocks) == min(len(cpus), blocks)
-        traj.write_csv(path)
+    traj.write_csv(path)
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"xdot_{i}" for i in range(n)])
     assert path.read_bytes() == (header + "\n" + repr_join(values.tolist())).encode()
-    assert multiprocessing.active_children() == []
 
 
 def test_csv_block_keys_distinct_values_by_their_bits():
@@ -439,8 +430,9 @@ def test_csv_block_keys_distinct_values_by_their_bits():
     columns = (values[:, 0], values[:, 1:4], values[:, 4:])
     for start in (0, dynamics._CSV_BLOCK_ROWS):
         block = values[start : start + dynamics._CSV_BLOCK_ROWS].tolist()
-        assert dynamics._csv_block(columns, start) == repr_join(block).encode()
-    assert dynamics._csv_block(columns, 0).startswith(b"0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
+        assert dynamics._csv_block(columns, start).tobytes() == repr_join(block).encode()
+    first = dynamics._csv_block(columns, 0).tobytes()
+    assert first.startswith(b"0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
 
 
 def _near_edge_values() -> list:
@@ -529,20 +521,9 @@ def test_integer_csv_columns_must_be_exact_as_floats():
         dynamics._csv_block((np.array([2**53]), np.zeros(1)), 0)
 
 
-def _die_in_worker(parent: int):
-    """A block formatter that kills the worker process it runs in."""
-    def block(columns, start):
-        if os.getpid() == parent:
-            raise AssertionError("the writer formatted in-process")
-        os._exit(1)
-    return block
-
-
-def test_crashed_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path):
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_csv_write_raises_oserror():
     traj = Trajectory(1e-3, np.zeros(3000), np.zeros((3000, 2)), np.zeros((3000, 2)))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(dynamics, "_csv_block", _die_in_worker(os.getpid()))
-    with pytest.raises(OSError, match="CSV worker process died") as err:
-        traj.write_csv(tmp_path / "traj.csv")
-    assert isinstance(err.value.__cause__, BrokenProcessPool)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(OSError) as err:
+        dynamics.write_trajectory_csv(traj, "/dev/full")
+    assert err.value.errno == errno.ENOSPC

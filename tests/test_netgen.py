@@ -12,7 +12,6 @@ from selfsync import (
     ensure_connectivity,
     place_nodes,
 )
-from selfsync.netgen import solved_wave_speed
 
 
 # === Config validation ===
@@ -148,11 +147,12 @@ def test_delay_span_solves_wave_speed():
     cfg = RadioConfig(n=30, delay_span_s=0.1, seed=77)
     pos = place_nodes(cfg)
     g = build_channel(cfg, pos)
-    d = g.delay_matrix()
-    assert d.max() == pytest.approx(0.1, rel=1e-12)
-    wave = solved_wave_speed(cfg, pos)
+    assert g.delay_s.max() == pytest.approx(0.1, rel=1e-12)
     diff = pos[:, None, :] - pos[None, :, :]
-    assert wave == pytest.approx(np.sqrt((diff**2).sum(axis=2)).max() / 0.1, rel=1e-12)
+    dist = np.sqrt((diff**2).sum(axis=2))
+    # With no offset, each link's delay is its distance over the wave speed.
+    wave = dist[g.dst, g.src] / g.delay_s
+    assert wave == pytest.approx(np.full(g.dst.size, dist.max() / 0.1), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [5, 40, 200])
