@@ -9,6 +9,7 @@ tau = 0.5 gives the rate 2/3.
 import csv
 import errno
 import io
+import multiprocessing
 import os
 import warnings
 
@@ -401,22 +402,29 @@ def test_trajectory_csv_round_trip(tmp_path):
 # largest finite values, and the switches between fixed and exponent form.
 SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
                   -1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7)
+# The writer formats in-process whatever the CPU count: one CPU or two give
+# the same bytes and start no child process.
+CPU_SETS = pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pooled"])
 
 
+@CPU_SETS
 @settings(deadline=None, max_examples=12)
 @given(rows=st.sampled_from([1, 1023, 1024, 1025, 2049]),
        n=st.integers(1, 3),
        pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
                      | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=40),
        seed=st.integers(0, 2**32 - 1))
-def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, rows, n, pool, seed):
+def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, pool, seed):
     rng = np.random.default_rng(seed)
     values = rng.choice(np.array(pool + list(SPECIAL_FLOATS)), size=(rows, 1 + 2 * n))
     traj = Trajectory(1e-3, values[:, 0], values[:, 1 : 1 + n], values[:, 1 + n :])
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
-    traj.write_csv(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        traj.write_csv(path)
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"xdot_{i}" for i in range(n)])
     assert path.read_bytes() == (header + "\n" + repr_join(values.tolist())).encode()
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_block_keys_distinct_values_by_their_bits():
