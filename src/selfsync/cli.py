@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -391,23 +392,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        config = {} if args.config is None else _read_json(args.config, "config")
-        _COMMANDS[args.command][1](_options(args, config))
-        return EXIT_OK
-    except (DataError, GraphFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (UsageError, ValueError, MemoryError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError,
-            OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():  # restores the warning display on return
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            config = {} if args.config is None else _read_json(args.config, "config")
+            _COMMANDS[args.command][1](_options(args, config))
+            return EXIT_OK
+        except (DataError, GraphFormatError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except (UsageError, ValueError, MemoryError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (SimulationDiverged, NullSpaceError, DebiasError, GenerationBudgetError,
+                OverflowError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -119,17 +119,26 @@ def predict(
 
 def _closed_form_inputs(g: Digraph, params: NodeParams, coupling: float,
                         quantize_step: "float | None"):
-    """Validate, then the report and each listener's gain-weighted delay sum."""
+    """Validate, then the report and each listener's gain-weighted delay sum.
+
+    Like the report, the delay sum is computed once per ``quantize_step``
+    and stored on the immutable graph, read-only, for every later call.
+    """
     if params.n != g.n:
         raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
     if not np.isfinite(coupling) or coupling < 0:
         raise ValueError("coupling must be finite and nonnegative")
     report = classify(g)
-    if quantize_step is None:
-        delays = g.delay_s
-    else:
-        delays = quantize_delays(g, quantize_step) * quantize_step
-    return report, np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
+    loads = vars(g).setdefault("_delay_loads", {})
+    if quantize_step not in loads:
+        if quantize_step is None:
+            delays = g.delay_s
+        else:
+            delays = quantize_delays(g, quantize_step) * quantize_step
+        load = np.bincount(g.dst, weights=g.gain * delays, minlength=g.n)
+        load.flags.writeable = False
+        loads[quantize_step] = load
+    return report, loads[quantize_step]
 
 
 def _root_rates(report, params: NodeParams, coupling: float, delay_load: np.ndarray) -> list:

@@ -134,23 +134,32 @@ class Digraph:
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise GraphFormatError("dst, src, gain and delay_s must be 1-d and equally long")
         dst, src, gain, delay_s = cols
-        keys = dst * n + src
-        repeated = np.zeros(dst.size, dtype=bool)
-        # Strictly increasing keys (generated graphs and their unions) cannot
-        # repeat; otherwise sort, and only on a repeat find which edge is first.
-        if not np.all(keys[1:] > keys[:-1]) and np.any(np.diff(np.sort(keys)) == 0):
-            repeated[:] = True
-            repeated[np.unique(keys, return_index=True)[1]] = False
-        for bad, what in (
-            ((dst < 0) | (dst >= n) | (src < 0) | (src >= n), f"is out of range for n={n}"),
-            (dst == src, "is a self-loop"),
-            (repeated, "repeats an earlier edge"),
-            (~np.isfinite(gain) | (gain <= 0.0), "has a non-positive or non-finite gain"),
-            (~np.isfinite(delay_s) | (delay_s < 0.0), "has a negative or non-finite delay"),
-        ):
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise GraphFormatError(f"edge (dst={dst[k]}, src={src[k]}) {what}")
+
+        def fail(bad: np.ndarray, what: str):
+            k = int(np.argmax(bad))
+            raise GraphFormatError(f"edge (dst={dst[k]}, src={src[k]}) {what}")
+
+        # Each condition is checked by a reduction; only a failed one builds
+        # its per-edge mask, to name the first bad edge.  A NaN fails every
+        # comparison, so it fails the gain and delay checks.
+        if dst.size:
+            if min(dst.min(), src.min()) < 0 or max(dst.max(), src.max()) >= n:
+                fail((dst < 0) | (dst >= n) | (src < 0) | (src >= n), f"is out of range for n={n}")
+            if np.any(dst == src):
+                fail(dst == src, "is a self-loop")
+            keys = dst * n
+            keys += src
+            # Strictly increasing keys (generated graphs and their unions)
+            # cannot repeat; otherwise sort, and only on a repeat find which
+            # edge is first.
+            if not np.all(keys[1:] > keys[:-1]) and np.any(np.diff(np.sort(keys)) == 0):
+                repeated = np.ones(dst.size, dtype=bool)
+                repeated[np.unique(keys, return_index=True)[1]] = False
+                fail(repeated, "repeats an earlier edge")
+            if not (gain.min() > 0.0 and gain.max() < np.inf):
+                fail(~np.isfinite(gain) | (gain <= 0.0), "has a non-positive or non-finite gain")
+            if not (delay_s.min() >= 0.0 and delay_s.max() < np.inf):
+                fail(~np.isfinite(delay_s) | (delay_s < 0.0), "has a negative or non-finite delay")
         object.__setattr__(self, "n", n)
         for name, col in zip(_COLUMNS, cols):  # astype made each column a copy
             col.flags.writeable = False
@@ -255,8 +264,15 @@ class ConnectivityReport:
 
 def laplacian(g: Digraph) -> np.ndarray:
     """Coupling Laplacian ``L = diag(A @ 1) - A``; every row sums to zero."""
-    a = g.gain_matrix()
-    return np.diag(a.sum(axis=1)) - a
+    return _laplacian_of(g.gain_matrix())
+
+
+def _laplacian_of(a: np.ndarray) -> np.ndarray:
+    """``diag(a @ 1) - a`` (the same bits) written over the zero-diagonal gain matrix ``a``."""
+    d = a.sum(axis=1)
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, d)
+    return a
 
 
 def _tarjan_components(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -447,7 +463,7 @@ def _root_blocks(g: Digraph, roots: "list[tuple[int, ...]]"):
         cut = links[start:stop]
         a = np.zeros((len(nodes), len(nodes)))
         a[pos[g.dst[cut]], pos[g.src[cut]]] = g.gain[cut]
-        yield np.asarray(nodes, dtype=int), np.diag(a.sum(axis=1)) - a
+        yield np.asarray(nodes, dtype=int), _laplacian_of(a)
 
 
 def _pinned_solve(block: np.ndarray, pin: int) -> np.ndarray:

@@ -38,8 +38,9 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Warn when step_s * K/c_i * (received gain sum) exceeds this; one order
-# of magnitude under the explicit-Euler monotonicity bound of 1.
+# Warn when the stiffness step_s * K/c_i * (received gain sum) exceeds this
+# accuracy guard.  The second threshold is 1: below it each Euler step keeps
+# a positive self-weight, so any bounded lag keeps consensus on a QSC graph.
 STIFFNESS_GUARD = 0.1
 
 # The fixed settle rule of detect_consensus.
@@ -64,6 +65,8 @@ _POW10_TAIL = _POW10 - _POW10_HEAD
 # (link, step) pairs gathered, weighted and summed per tile of the step
 # kernel; a tile's buffers then stay in cache.
 _BLOCK_LINKS = 2**15
+# Steps of the step loop per list of row views.
+_ROW_VIEWS = 256
 
 
 class SimulationDiverged(RuntimeError):
@@ -78,7 +81,12 @@ class SimulationDiverged(RuntimeError):
 
 
 class StepSizeWarning(UserWarning):
-    """The step size is large for the realized coupling strengths."""
+    """The step size is large for the realized coupling strengths.
+
+    It fires past ``STIFFNESS_GUARD``, an accuracy guard, and its message
+    says whether the stiffness also reached 1, where consensus for any lag
+    is no longer guaranteed.
+    """
 
 
 @dataclass(frozen=True)
@@ -232,9 +240,11 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     inflow[heard] = np.add.reduceat(gains, first)
     stiffness = float(np.max(step_s * rate * inflow)) if n else 0.0
     if stiffness > STIFFNESS_GUARD:
+        any_lag = (", and at 1 or more consensus under any lag is no longer guaranteed"
+                   if stiffness >= 1.0 else " (consensus under any lag is still guaranteed below 1)")
         warnings.warn(
-            f"step_s * coupling rate reaches {stiffness:.3g} (guard {STIFFNESS_GUARD}); "
-            "expect a stiff, possibly inaccurate integration",
+            f"step_s * coupling rate reaches {stiffness:.3g}, over the accuracy guard "
+            f"{STIFFNESS_GUARD}: expect a stiff, possibly inaccurate integration{any_lag}",
             StepSizeWarning,
             stacklevel=3,  # past this generator and the function stepping it
         )
@@ -248,10 +258,11 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     # np.add.reduceat over every link, so the tiling does not move a bit.
     lag_min = int(lags.min(initial=m_max))
     span = max(1, min(lag_min + 1, _BLOCK_LINKS // max(links, 1)))
-    ahead = np.arange(span)[:, None]
-    taps = (taps + n * ahead).ravel()
-    gains = np.tile(gains, span)
-    first = (first + links * ahead).ravel()
+    if span > 1:
+        ahead = np.arange(span)[:, None]
+        taps = (taps + n * ahead).ravel()
+        gains = np.tile(gains, span)
+        first = (first + links * ahead).ravel()
     # The gathers take mode="clip", which would hide an index past the
     # states that exist when a tile starts; check the furthest one once.
     if links and not (0 <= taps.min() and taps.max() < (m_max + 1) * n):
@@ -289,6 +300,12 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     # The step size once per node: numpy would convert a Python float on every call.
     steps_s = np.full(n, step_s)
 
+    # Row views are made by the list, a chunk of whole tiles (about
+    # _ROW_VIEWS steps) at a time: indexing a row each step costs about
+    # what a step's arithmetic does on a small network, and a list over
+    # the whole horizon would grow with it.
+    chunk = span * -(-_ROW_VIEWS // span)
+    pull_rows = list(pull)
     # The ufuncs take their outputs positionally: keyword parsing would
     # cost more than the arithmetic on a small network.
     mul, sub, add, segment_sums = np.multiply, np.subtract, np.add, np.add.reduceat
@@ -296,12 +313,15 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
         if start:
             x[: m_max + 1] = x[window:]
         steps = min(window, horizon - start)
-        # Overflow is reported through SimulationDiverged, not numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = end = 0
-            for j in range(steps):
-                if j == end:  # the next tile starts: pull for its steps k .. end
-                    k, end = j, min(j + span, steps)
+        # Overflow is reported through SimulationDiverged, not numpy
+        # warnings; the loop divides nothing, and with every error ignored
+        # numpy skips its floating-point status check after each call.
+        with np.errstate(all="ignore"):
+            for c in range(0, steps, chunk):
+                stop = min(c + chunk, steps)
+                rows, deriv_rows = list(x[m_max + c : m_max + stop + 1]), list(derivs[c:stop])
+                for k in range(c, stop, span):  # one tile: pull for steps k .. end
+                    end = min(k + span, stop)
                     plan = whole if end - k == span else tiles(end - k)
                     states = flat[k * n :]
                     for tap, gain, buf, starts, out in plan:
@@ -310,13 +330,14 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
                         segment_sums(buf, starts, 0, None, out)
                     if pull is not sums:
                         pull[: end - k, heard] = sums[: end - k]
-                now = x[m_max + j]
-                mul(inflow, now, tmp)
-                sub(pull[j - k], tmp, tmp)
-                mul(rate, tmp, tmp)
-                xdot = add(stats, tmp, derivs[j])
-                mul(steps_s, xdot, tmp)
-                add(now, tmp, x[m_max + j + 1])
+                    for j, pulled in zip(range(k - c, end - c), pull_rows):
+                        now = rows[j]
+                        mul(inflow, now, tmp)
+                        sub(pulled, tmp, tmp)
+                        mul(rate, tmp, tmp)
+                        xdot = add(stats, tmp, deriv_rows[j])
+                        mul(steps_s, xdot, tmp)
+                        add(now, tmp, rows[j + 1])
         bad = np.flatnonzero(~np.isfinite(derivs[:steps]).all(axis=1))
         if bad.size:
             step = start + int(bad[0])
@@ -420,10 +441,11 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     in ``[1e16, 1e17)``; every decimal within ``h``, half its spacing times
     ``10**k``, reads back as ``x``.  The interval is symmetric, so it holds
     a multiple of ``10**j`` exactly when it holds the closest one, and the
-    last such candidate is the shortest, closest text: ``repr``'s.  Values
-    within ``2**-40 * h`` of the edge, ties between two candidates, zeros,
-    non-finite, subnormal and power-of-two values (asymmetric intervals),
-    and values outside the range take ``repr``, once per distinct bit pattern.
+    last such candidate is the shortest, closest text: ``repr``'s.  A tie
+    between two candidates goes to the even one, as in ``repr``.  Values
+    within ``2**-40 * h`` of the edge, zeros, non-finite, subnormal and
+    power-of-two values (asymmetric intervals), and values outside the
+    range take ``repr``, once per distinct bit pattern.
     """
     n, bits, mag = values.size, values.view(np.int64), np.abs(values)
     fast = (mag >= 1e-4) & (mag < 1e16) & (bits & (2**52 - 1) != 0)
@@ -439,20 +461,19 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     top, frac = hi.astype(np.int64), np.floor(lo)
     whole, up, mid = top + frac.astype(np.int64), lo != frac, frac + 0.5
     # Seventeen digits always fit (h > 0.55): y rounded half to even.
-    unsure = lo == mid
-    digits = whole + ((lo > mid) | (unsure & (whole & 1 == 1)))
+    digits = whole + ((lo > mid) | ((lo == mid) & (whole & 1 == 1)))
+    unsure = np.zeros(n, bool)
     zeros, live = np.zeros(n, np.int64), np.arange(n)
     for j in range(1, 17):
         unit = 10**j
-        cand = whole // unit * unit
+        q = whole // unit
+        cand = q * unit
         rest = whole - cand
-        at_half = rest == unit // 2
-        cand += unit * ((rest > unit // 2) | (at_half & up))
+        # y exactly halfway rounds to the even multiple.
+        cand += unit * ((rest > unit // 2) | ((rest == unit // 2) & (up | (q & 1 == 1))))
         miss = np.abs((cand - top).astype(np.float64) - lo)
         keep = miss < h
-        doubt = np.abs(miss - h) <= h * 2.0**-40
-        doubt |= at_half & keep & ~up  # a tie between two candidates inside
-        unsure[live[doubt]] = True
+        unsure[live[np.abs(miss - h) <= h * 2.0**-40]] = True
         pos = np.flatnonzero(keep)
         live = live[pos]
         digits[live], zeros[live] = cand[pos], j

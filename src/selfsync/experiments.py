@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import centralized_ml, ml_setup, predict, ConsensusPrediction
-from .digraph import Digraph, Edge, disjoint_union
+from .digraph import Digraph, disjoint_union
 from .dynamics import (
     ConsensusVerdict,
     NodeParams,
@@ -65,37 +65,35 @@ _PASS_LINKS = 2**15
 _PASS_WINDOW = 1024
 
 
-def _cycle_edges(nodes: "tuple[int, ...]", gain: float, delay: float) -> list[Edge]:
-    k = len(nodes)
-    return [Edge(nodes[(i + 1) % k], nodes[i], gain, delay) for i in range(k)]
+def _unit_links(n: int, dst: list, src: list, delay_s: float) -> Digraph:
+    """Graph of unit-gain links ``dst[k]`` hearing ``src[k]``, each delayed ``delay_s``."""
+    return Digraph.from_arrays(n, dst, src, np.ones(len(dst)), np.full(len(dst), delay_s))
 
 
 def _chain_network(delay_s: float) -> tuple[Digraph, NodeParams]:
     """Three unit-gain 3-cycles in a line; only the first influences all."""
-    edges = []
-    edges += _cycle_edges((0, 1, 2), 1.0, delay_s)
-    edges += _cycle_edges((3, 4, 5), 1.0, delay_s)
-    edges += _cycle_edges((6, 7, 8), 1.0, delay_s)
-    edges.append(Edge(3, 0, 1.0, delay_s))  # second component hears the first
-    edges.append(Edge(6, 3, 1.0, delay_s))  # third hears the second
-    g = Digraph(9, tuple(edges))
+    g = _unit_links(
+        9,
+        # cycles 0 -> 1 -> 2, 3 -> 4 -> 5 and 6 -> 7 -> 8; then 3 hears the
+        # first cycle and 6 the second
+        [1, 2, 0, 4, 5, 3, 7, 8, 6, 3, 6],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3],
+        delay_s,
+    )
     params = NodeParams(weights=np.ones(9), stats=np.arange(1.0, 10.0))
     return g, params
 
 
 def _forest_network(delay_s: float) -> tuple[Digraph, NodeParams]:
     """Two root trees plus a middle 2-cycle hearing one leaf of each tree."""
-    edges = [
-        Edge(1, 0, 1.0, delay_s),  # tree one: root 0 -> children 1, 2
-        Edge(2, 0, 1.0, delay_s),
-        Edge(4, 3, 1.0, delay_s),  # tree two: root 3 -> children 4, 5
-        Edge(5, 3, 1.0, delay_s),
-        Edge(6, 7, 1.0, delay_s),  # middle 2-cycle {6, 7}
-        Edge(7, 6, 1.0, delay_s),
-        Edge(6, 1, 1.0, delay_s),  # middle hears both trees
-        Edge(7, 4, 1.0, delay_s),
-    ]
-    g = Digraph(8, tuple(edges))
+    g = _unit_links(
+        8,
+        # trees 0 -> {1, 2} and 3 -> {4, 5}; the middle 2-cycle {6, 7};
+        # 6 hears leaf 1 and 7 hears leaf 4
+        [1, 2, 4, 5, 6, 7, 6, 7],
+        [0, 0, 3, 3, 7, 6, 1, 4],
+        delay_s,
+    )
     stats = np.array([2.0, 0.5, 1.0, 4.0, 3.5, 3.0, 1.5, 2.5])
     params = NodeParams(weights=np.ones(8), stats=stats)
     return g, params

@@ -123,9 +123,13 @@ def place_nodes(cfg: RadioConfig) -> np.ndarray:
 
 
 def _distances(positions: np.ndarray) -> np.ndarray:
-    # The same bits as summing the squared coordinate differences.
-    dx, dy = (col[:, None] - col[None, :] for col in np.asarray(positions, dtype=float).T)
-    return np.sqrt(dx * dx + dy * dy)
+    """Pairwise distances, in place: the same bits as summing the squared differences."""
+    x, y = np.asarray(positions, dtype=float).T
+    dist, dy = x[:, None] - x, y[:, None] - y
+    dist *= dist
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
 def _wave_speed(cfg: RadioConfig, dist: np.ndarray) -> float:
@@ -155,27 +159,42 @@ def build_channel(cfg: RadioConfig, positions: np.ndarray) -> Digraph:
     dist = _distances(positions)
     powers = cfg.power_vector()
 
-    off_diag = ~np.eye(cfg.n, dtype=bool)
+    # Each n x n array is built in place: at n = 640 one costs 3.3 MB.
     if cfg.fading is Fading.NONE:
         eta = cfg.path_loss_exponent
-        if eta > 0 and np.any(dist[off_diag] == 0.0):
+        # The diagonal of dist is exactly 0, so a further 0 is a coincident pair.
+        if eta > 0 and np.count_nonzero(dist == 0.0) > cfg.n:
             raise ValueError("coincident nodes give infinite gain under pure path loss")
-        with np.errstate(divide="ignore"):
-            loss = np.where(off_diag, dist, 1.0) ** eta
-        amp = np.sqrt(powers[None, :] / loss)
+        amp = dist.copy()
+        np.fill_diagonal(amp, 1.0)
+        amp **= eta
+        np.divide(powers, amp, out=amp)
+        np.sqrt(amp, out=amp)
     else:
         # Mean-square amplitude P_src / (1 + d^2); Rayleigh scale follows.
-        scale = np.sqrt(powers[None, :] / (2.0 * (1.0 + dist**2)))
-        draws = _rng(cfg.seed, _FADING_TAG).rayleigh(scale=1.0, size=(cfg.n, cfg.n))
-        amp = draws * scale
+        scale = np.square(dist)
+        scale += 1.0
+        scale *= 2.0
+        np.divide(powers, scale, out=scale)
+        np.sqrt(scale, out=scale)
+        amp = _rng(cfg.seed, _FADING_TAG).rayleigh(scale=1.0, size=(cfg.n, cfg.n))
+        amp *= scale
+        del scale
 
     wave = _wave_speed(cfg, dist)
-    prop = dist / wave if np.isfinite(wave) else np.zeros_like(dist)
-
-    # np.nonzero and boolean indexing both walk the matrix in row-major order.
-    heard = off_diag & (amp >= cfg.hear_threshold) & (amp > 0.0)
+    heard = amp >= cfg.hear_threshold
+    heard &= amp > 0.0
+    np.fill_diagonal(heard, False)
+    # Boolean indexing and np.nonzero both walk the matrix in row-major
+    # order.  The n x n arrays go before the per-link ones are made.
+    gain = amp[heard]
+    del amp
+    delay = dist[heard]
+    del dist
+    delay /= wave  # an infinite wave speed gives zero delays
+    delay += cfg.delay_offset_s
     dst, src = np.nonzero(heard)
-    return Digraph.from_arrays(cfg.n, dst, src, amp[heard], cfg.delay_offset_s + prop[heard])
+    return Digraph.from_arrays(cfg.n, dst, src, gain, delay)
 
 
 def _attempt_seed(seed: int, attempt: int) -> int:

@@ -1,13 +1,13 @@
 """Brute-force reference implementations shared by the test modules.
 
 The reachability oracles work from boolean matrices only, and the others
-by plain loops or plain dense solves, sharing no code path with the
-package under test.  Dense delay matrices and the JSON-Schema of the
+by plain loops, plain dense solves or whole dense matrices, sharing no
+numerical code path with the package under test.  Dense delay matrices and the JSON-Schema of the
 prediction document live here too: only tests use them.
 """
 import numpy as np
 
-from selfsync import ConnectivityClass, Digraph, Edge
+from selfsync import ConnectivityClass, Digraph, Edge, Fading, RadioConfig
 
 
 def brute_reach(n: int, adj: np.ndarray) -> np.ndarray:
@@ -82,6 +82,75 @@ def two_solve_null_vector(block: np.ndarray) -> np.ndarray:
     if top != 0:
         x = pinned(top)
     return x / np.linalg.norm(x)
+
+
+def dense_build_channel(cfg: RadioConfig, positions: np.ndarray) -> Digraph:
+    """``build_channel`` by whole n x n matrices, one fresh array per operation.
+
+    Distances, amplitudes, propagation delays and the off-diagonal mask
+    are each a full matrix; the links are read out of them with
+    ``np.nonzero``, row-major, and ``Digraph.from_arrays`` checks them.
+    """
+    n = cfg.n
+    pos = np.asarray(positions, dtype=float)
+    dx, dy = (col[:, None] - col[None, :] for col in pos.T)
+    dist = np.sqrt(dx * dx + dy * dy)
+    powers = cfg.power_vector()
+    off_diag = ~np.eye(n, dtype=bool)
+    if cfg.fading is Fading.NONE:
+        eta = cfg.path_loss_exponent
+        if eta > 0 and np.any(dist[off_diag] == 0.0):
+            raise ValueError("coincident nodes give infinite gain under pure path loss")
+        amp = np.sqrt(powers[None, :] / np.where(off_diag, dist, 1.0) ** eta)
+    else:
+        scale = np.sqrt(powers[None, :] / (2.0 * (1.0 + dist**2)))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))  # the fading stream
+        amp = rng.rayleigh(scale=1.0, size=(n, n)) * scale
+    if cfg.delay_span_s is None:
+        wave = cfg.wave_speed
+    elif cfg.delay_span_s == 0.0 or n == 1:
+        wave = float("inf")
+    elif dist.max() == 0.0:
+        raise ValueError("cannot solve wave speed: all nodes are coincident")
+    else:
+        wave = float(dist.max()) / cfg.delay_span_s
+    prop = dist / wave if np.isfinite(wave) else np.zeros_like(dist)
+    heard = off_diag & (amp >= cfg.hear_threshold) & (amp > 0.0)
+    dst, src = np.nonzero(heard)
+    return Digraph.from_arrays(n, dst, src, amp[heard], cfg.delay_offset_s + prop[heard])
+
+
+def first_bad_edge_message(n: int, dst, src, gain, delay_s) -> "str | None":
+    """The ``GraphFormatError`` message for well-typed edge columns, or None if valid.
+
+    The conditions are tried in order, each over every edge by a plain
+    loop: ids out of range, self-loops, repeats of an earlier
+    ``(dst, src)`` pair, gains not positive and finite, delays not
+    nonnegative and finite.  The first condition that any edge breaks
+    names its first such edge.
+    """
+    rows = list(zip(np.asarray(dst).tolist(), np.asarray(src).tolist(),
+                    np.asarray(gain, dtype=float).tolist(),
+                    np.asarray(delay_s, dtype=float).tolist()))
+    seen: set = set()
+    repeats = []
+    for d, s, _, _ in rows:
+        repeats.append((d, s) in seen)
+        seen.add((d, s))
+    finite = np.isfinite
+    for bad, what in (
+        ([not (0 <= d < n and 0 <= s < n) for d, s, _, _ in rows], f"is out of range for n={n}"),
+        ([d == s for d, s, _, _ in rows], "is a self-loop"),
+        (repeats, "repeats an earlier edge"),
+        ([not (finite(w) and w > 0.0) for _, _, w, _ in rows],
+         "has a non-positive or non-finite gain"),
+        ([not (finite(t) and t >= 0.0) for _, _, _, t in rows],
+         "has a negative or non-finite delay"),
+    ):
+        if any(bad):
+            d, s = rows[bad.index(True)][:2]
+            return f"edge (dst={d}, src={s}) {what}"
+    return None
 
 
 def graph_from_adj(

@@ -181,6 +181,26 @@ def test_debias_disconnected_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("coupling, code, tail", [
+    (150, 0, " (consensus under any lag is still guaranteed below 1)\n"),
+    (1500, 3, ", and at 1 or more consensus under any lag is no longer guaranteed\n"
+              "numerical failure: statistic run did not reach global sync (verdict NONE)\n"),
+])
+def test_step_size_warning_is_one_stderr_line(tmp_path, capsys, coupling, code, tail):
+    graph, params = tmp_path / "ring.json", tmp_path / "p.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [
+        {"dst": (i + 1) % 3, "src": i, "gain": 1.0, "delay_s": 0.02} for i in range(3)]}))
+    params.write_text(json.dumps({"c": [1.0] * 3, "u": [1.0, -1.0, 0.0]}))
+    argv = ["debias", "--graph", graph, "--params", params, "--mode", "simulated",
+            "--coupling", coupling]
+    for _ in range(2):  # shown on every call, not once per process
+        got, _, err = run_cli(argv, capsys)
+        assert got == code
+        assert err == (f"warning: step_s * coupling rate reaches {coupling / 1000:g}, over the "
+                       "accuracy guard 0.1: expect a stiff, possibly inaccurate integration"
+                       + tail)
+
+
 # === study ===
 
 def test_study_writes_outputs(tmp_path, capsys):

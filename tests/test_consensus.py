@@ -24,6 +24,7 @@ from selfsync import (
     laplacian,
     ml_setup,
     predict,
+    preset_network,
     simulate,
 )
 
@@ -188,6 +189,35 @@ def test_debias_recovers_weighted_mean_analytic():
             gamma @ params.weights
         )
         assert result.estimate == pytest.approx(target, rel=1e-12)
+
+
+def test_delay_load_is_computed_once_per_step_and_read_only(monkeypatch):
+    from selfsync import consensus
+
+    g, params = preset_network("chain", delay_s=0.0123)
+    steps = []
+    quantize = consensus.quantize_delays
+    monkeypatch.setattr(consensus, "quantize_delays", lambda g, h: steps.append(h) or quantize(g, h))
+    first = predict(g, params, 30.0, quantize_step=1e-3)
+    debias_two_step(g, params, SimConfig(30.0, 1e-3, 2), DebiasMode.ANALYTIC)
+    assert predict(g, params, 30.0, quantize_step=1e-3) == first
+    assert steps == [1e-3]
+
+    def load(step):
+        return consensus._closed_form_inputs(g, params, 30.0, step)[1]
+
+    assert load(1e-3) is load(1e-3) and not load(1e-3).flags.writeable
+    with pytest.raises(ValueError):
+        load(1e-3)[0] = 1.0
+    lags = np.rint(g.delay_s / 1e-3)
+    want = np.bincount(g.dst, weights=g.gain * (lags * 1e-3), minlength=g.n)
+    assert np.array_equal(load(1e-3), want)
+    # Another grid, or the nominal delays, take their own load.
+    predict(g, params, 30.0, quantize_step=2e-3)
+    predict(g, params, 30.0)
+    assert steps == [1e-3, 2e-3]
+    nominal = np.bincount(g.dst, weights=g.gain * g.delay_s, minlength=g.n)
+    assert np.array_equal(load(None), nominal)
 
 
 def test_one_scc_pass_per_generated_graph(monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from selfsync import (
     ConnectivityClass,
+    Digraph,
+    Edge,
     EstimationConfig,
     VerdictKind,
     classify,
@@ -30,6 +32,21 @@ def test_forest_preset_structure():
     assert rep.kind is ConnectivityClass.WC_NOT_QSC
     assert tuple(rep.sccs[i] for i in rep.root_sccs) == ((0,), (3,))
     assert params.n == 8
+
+
+def _cycle(nodes, delay_s):
+    return [Edge(nodes[(i + 1) % len(nodes)], nodes[i], 1.0, delay_s) for i in range(len(nodes))]
+
+
+@pytest.mark.parametrize("delay_s", [0.0, 0.05, 3])
+def test_presets_are_their_edge_built_graphs(delay_s):
+    chain = Digraph(9, _cycle((0, 1, 2), delay_s) + _cycle((3, 4, 5), delay_s)
+                    + _cycle((6, 7, 8), delay_s)
+                    + [Edge(3, 0, 1.0, delay_s), Edge(6, 3, 1.0, delay_s)])
+    forest = Digraph(8, [Edge(d, s, 1.0, delay_s) for d, s in
+                         [(1, 0), (2, 0), (4, 3), (5, 3), (6, 7), (7, 6), (6, 1), (7, 4)]])
+    assert preset_network("chain", delay_s=delay_s)[0] == chain
+    assert preset_network("forest", delay_s=delay_s)[0] == forest
 
 
 def test_preset_unknown_name():

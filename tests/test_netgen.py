@@ -1,6 +1,10 @@
 """Radio-network generation: placement, channel model, connectivity retry."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsync import (
     ConnectivityClass,
@@ -12,6 +16,8 @@ from selfsync import (
     ensure_connectivity,
     place_nodes,
 )
+
+from _oracles import dense_build_channel
 
 
 # === Config validation ===
@@ -182,6 +188,51 @@ def test_build_channel_matches_an_independent_computation(n, fading, span):
         for got, want in ((g.dst, dst), (g.src, src), (g.gain, amp[dst, src]),
                           (g.delay_s, 1e-3 + dist[dst, src] / wave)):
             assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=80)
+@given(n=st.integers(1, 30), fading=st.sampled_from(list(Fading)),
+       area=st.sampled_from([1.0, 0.0, 30.0]), eta=st.sampled_from([0.0, 2.0, 3.5]),
+       threshold=st.floats(0.0, 2.0), span=st.sampled_from([None, 0.0, 0.05]),
+       offset=st.sampled_from([0.0, 1e-3, 0.0173]), per_node=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_build_channel_is_the_dense_oracle_bitwise(n, fading, area, eta, threshold, span,
+                                                   offset, per_node, seed, data):
+    powers = st.floats(0.1, 10.0)
+    tx_power = (tuple(data.draw(st.lists(powers, min_size=n, max_size=n))) if per_node
+                else data.draw(powers))
+    cfg = RadioConfig(n=n, area_side=area, tx_power=tx_power, path_loss_exponent=eta,
+                      hear_threshold=threshold, fading=fading, wave_speed=40.0,
+                      delay_offset_s=offset, delay_span_s=span, seed=seed)
+    pos = place_nodes(cfg)
+    try:
+        want = dense_build_channel(cfg, pos)
+    except ValueError as exc:  # coincident nodes, the same error either way
+        with pytest.raises(ValueError, match=str(exc)):
+            build_channel(cfg, pos)
+        return
+    got = build_channel(cfg, pos)
+    for name in ("dst", "src", "gain", "delay_s"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fading, threshold", [(Fading.RAYLEIGH, 0.1), (Fading.NONE, 0.0)])
+def test_build_channel_peak_memory_at_n640(fading, threshold):
+    # The bench's large network: nearly every pair is heard, so each n x n
+    # or per-link array is about 3.3 MB.  Dense n x n arithmetic with a
+    # fresh array per operation peaked at 48.7e6 bytes on the Rayleigh draw.
+    cfg = RadioConfig(n=640, fading=fading, hear_threshold=threshold, delay_span_s=0.05,
+                      seed=1)
+    pos = place_nodes(cfg)
+    tracemalloc.start()
+    try:
+        g = build_channel(cfg, pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.dst.size > 390_000
+    assert peak <= 33e6
 
 
 def test_delay_span_zero_means_no_delay():

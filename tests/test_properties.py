@@ -41,7 +41,13 @@ from selfsync import (
 from selfsync import consensus, dynamics
 from selfsync.digraph import _SC_ROUNDS, _root_block_null_vector, _root_blocks, _spread
 
-from _oracles import brute_reach, brute_root_union, euler_reference, two_solve_null_vector
+from _oracles import (
+    brute_reach,
+    brute_root_union,
+    euler_reference,
+    first_bad_edge_message,
+    two_solve_null_vector,
+)
 
 props = settings(deadline=None, max_examples=60)
 
@@ -110,6 +116,39 @@ def test_both_constructors_reject_the_same_inputs(g, fault, bad, data):
     by_records = _rejects(lambda: Digraph(g.n, edges))
     by_arrays = _rejects(lambda: Digraph.from_arrays(g.n, *zip(*edges)))
     assert by_records == by_arrays == (fault != "none")
+
+
+@props
+@given(graphs(min_edges=1),
+       st.lists(st.tuples(st.sampled_from(FAULTS[1:] + ["far out of range"]), st.integers(0, 99),
+                          st.sampled_from([-1.0, -np.inf, np.nan, np.inf])),
+                min_size=1, max_size=4))
+def test_every_invalid_edge_class_names_the_edge_as_before(g, faults):
+    # Several faults at once, so the order of the conditions shows too.
+    dst, src, gain, delay = (getattr(g, name).copy() for name in ("dst", "src", "gain", "delay_s"))
+    for fault, at, bad in faults:
+        k = at % dst.size
+        if fault == "repeat":
+            dst, src, gain, delay = (np.insert(c, at % (dst.size + 1), c[k])
+                                     for c in (dst, src, gain, delay))
+            continue
+        if fault in ("dst out of range", "far out of range"):
+            dst[k] = g.n if fault == "dst out of range" else 2**62
+        elif fault == "negative src":
+            src[k] = -1
+        elif fault == "self-loop":
+            src[k] = dst[k]
+        elif fault == "zero gain":
+            gain[k] = 0.0
+        elif fault == "bad gain":
+            gain[k] = bad
+        else:
+            delay[k] = bad
+    want = first_bad_edge_message(g.n, dst, src, gain, delay)
+    assert want is not None
+    with pytest.raises(GraphFormatError) as err:
+        Digraph.from_arrays(g.n, dst, src, gain, delay)
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize("column, bad", [
