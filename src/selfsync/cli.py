@@ -26,6 +26,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dynamics
 from .consensus import (
     DebiasError,
     DebiasMode,
@@ -241,7 +243,8 @@ def _cmd_simulate(opts: argparse.Namespace) -> None:
     cfg = SimConfig(coupling=opts.coupling, step_s=opts.ts, horizon=opts.horizon, init=init)
     traj = simulate(graph, params, cfg)
     with _writing(opts.out):
-        traj.write_csv(opts.out)
+        # Through the module, so that a wrapped name (bench/spans.py) sees the call.
+        dynamics.write_trajectory_csv(traj, opts.out)
 
 
 def _cmd_debias(opts: argparse.Namespace) -> None:
@@ -279,7 +282,7 @@ def _cmd_study(opts: argparse.Namespace) -> None:
     out = Path(opts.outdir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        result.trajectory.write_csv(out / "trajectory.csv")
+        dynamics.write_trajectory_csv(result.trajectory, out / "trajectory.csv")
         Path(out / "prediction.json").write_text(
             json.dumps(result.report_json_dict(), indent=2) + "\n"
         )
@@ -375,6 +378,7 @@ def _options(args: argparse.Namespace, config: dict) -> argparse.Namespace:
     return opts
 
 
+@functools.cache  # parsing leaves the parser as it was; build it once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="selfsync", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -236,6 +236,11 @@ def debias_two_step(
 
 def _global_rate(derivs: np.ndarray, label: str) -> float:
     verdict = detect_consensus(derivs)
+    if verdict.kind is VerdictKind.NONE:
+        raise DebiasError(
+            f"{label} did not reach global sync (verdict NONE) in {len(derivs)} steps; "
+            "a longer horizon (--horizon) may let it settle"
+        )
     if verdict.kind is not VerdictKind.GLOBAL:
         raise DebiasError(f"{label} did not reach global sync (verdict {verdict.kind.value})")
     return verdict.omega

@@ -14,6 +14,7 @@ math consuming these trajectories lives in :mod:`selfsync.consensus`.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +49,8 @@ WINDOW = 200
 DRIFT_TOL = 1e-8
 SYNC_TOL = 1e-6
 
-# Rows formatted per block when writing CSV.
-_CSV_BLOCK_ROWS = 1024
+# Values formatted per block when writing CSV, whatever the table's width.
+_CSV_BLOCK_VALUES = 2**15
 
 # Bytes per value of a CSV block: the longest float text,
 # "-1.7976931348623157e+308", and the separator after it.
@@ -61,6 +62,7 @@ _CSV_PREFIX = np.tri(_CSV_WIDTH, dtype=bool)
 _POW10 = 10.0 ** np.arange(23)
 _POW10_HEAD = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
 _POW10_TAIL = _POW10 - _POW10_HEAD
+_POW10_INT = 10 ** np.arange(17)
 
 # (link, step) pairs gathered, weighted and summed per tile of the step
 # kernel; a tile's buffers then stay in cache.
@@ -186,9 +188,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return int(self.states.shape[0])
-
-    def write_csv(self, path: "str | Path") -> None:
-        write_trajectory_csv(self, path)
 
 
 def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
@@ -433,8 +432,24 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return hi, (((ah * bh - hi) + ah * bl) + al * bh) + al * bl
 
 
-def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """``repr`` of each float64 of ``values``: ``(len, _CSV_WIDTH)`` uint8 rows and lengths.
+def _nearest(unit, whole, top, lo, h, up) -> "tuple[np.ndarray, ...]":
+    """The multiple of ``unit`` nearest ``y = top + lo``, whether it reads back, and
+    whether that is unsure (within ``2**-40 * h`` of the interval's edge)."""
+    q = whole // unit
+    cand = q * unit
+    rest = whole - cand
+    half = unit // 2
+    # y exactly halfway rounds to the even multiple.
+    cand += unit * ((rest > half) | ((rest == half) & (up | (q & 1 == 1))))
+    miss = np.abs((cand - top).astype(np.float64) - lo)
+    return cand, miss < h, np.abs(miss - h) <= h * 2.0**-40
+
+
+def _shortest(values: np.ndarray) -> "tuple[np.ndarray, ...]":
+    """``repr``'s digits of each float64 of ``values``, where the kernel is sure of them.
+
+    Returns a mask of the sure values and, for those, the seventeen digits
+    (the text's, then ``zeros`` zeros) and the decimal point's position.
 
     A value with ``1e-4 <= |x| < 1e16`` (where ``repr`` is positional) and
     a nonzero mantissa field is scaled exactly, ``y = |x| * 10**k = hi + lo``
@@ -445,9 +460,9 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     between two candidates goes to the even one, as in ``repr``.  Values
     within ``2**-40 * h`` of the edge, zeros, non-finite, subnormal and
     power-of-two values (asymmetric intervals), and values outside the
-    range take ``repr``, once per distinct bit pattern.
+    range are not sure.
     """
-    n, bits, mag = values.size, values.view(np.int64), np.abs(values)
+    bits, mag = values.view(np.int64), np.abs(values)
     fast = (mag >= 1e-4) & (mag < 1e16) & (bits & (2**52 - 1) != 0)
     a = np.where(fast, mag, 1.5)
     k = 16 - np.floor(np.log10(a)).astype(np.intp)
@@ -462,30 +477,47 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     whole, up, mid = top + frac.astype(np.int64), lo != frac, frac + 0.5
     # Seventeen digits always fit (h > 0.55): y rounded half to even.
     digits = whole + ((lo > mid) | ((lo == mid) & (whole & 1 == 1)))
-    unsure = np.zeros(n, bool)
-    zeros, live = np.zeros(n, np.int64), np.arange(n)
-    for j in range(1, 17):
-        unit = 10**j
-        q = whole // unit
-        cand = q * unit
-        rest = whole - cand
-        # y exactly halfway rounds to the even multiple.
-        cand += unit * ((rest > unit // 2) | ((rest == unit // 2) & (up | (q & 1 == 1))))
-        miss = np.abs((cand - top).astype(np.float64) - lo)
-        keep = miss < h
-        unsure[live[np.abs(miss - h) <= h * 2.0**-40]] = True
-        pos = np.flatnonzero(keep)
-        live = live[pos]
-        digits[live], zeros[live] = cand[pos], j
-        if not live.size:
-            break
-        whole, top, lo, h, up = whole[pos], top[pos], lo[pos], h[pos], up[pos]
+    # A multiple of 10**j that reads back is one of 10**(j - 1) too, so the
+    # kept j run from 1 to the last one.  j = 1 runs over the block, j = 2
+    # over its keepers, and their keepers bisect j in [2, 17).  A bisection
+    # tests the last kept j and the first dropped one, which decide the text.
+    cand, keep, unsure = _nearest(10, whole, top, lo, h, up)
+    np.copyto(digits, cand, where=keep)
+    zeros, live = keep.astype(np.int64), np.flatnonzero(keep)
+    whole, top, lo, h, up = whole[live], top[live], lo[live], h[live], up[live]
+    cand, keep, edge = _nearest(100, whole, top, lo, h, up)
+    unsure[live[edge]] = True
+    pos = np.flatnonzero(keep)
+    live = live[pos]
+    if live.size:
+        whole, top, lo, h, up, best = whole[pos], top[pos], lo[pos], h[pos], up[pos], cand[pos]
+        low, high = np.full(live.size, 2), np.full(live.size, 17)
+        for _ in range(4):  # halves the gap of 17 - 2 down to 1
+            j = (low + high) >> 1
+            cand, keep, edge = _nearest(_POW10_INT.take(j), whole, top, lo, h, up)
+            unsure[live[edge]] = True
+            np.copyto(best, cand, where=keep)
+            np.copyto(low, j, where=keep)
+            np.copyto(high, j, where=~keep)
+        digits[live], zeros[live] = best, low
     # No kept candidate is 10**17: no power of ten in range has its nearest double below it.
-    point, neg = 17 - k, bits < 0
+    return fast & ~unsure, digits, zeros, 17 - k
+
+
+def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``repr`` of each float64 of ``values``: ``(len, _CSV_WIDTH)`` uint8 rows and lengths.
+
+    The digits come from :func:`_shortest`, whose temporaries are freed
+    before the layout's arrays are made; the values it is not sure of take
+    ``repr``, once per distinct bit pattern.
+    """
+    sure, digits, zeros, point = _shortest(values)
+    n, bits = values.size, values.view(np.int64)
+    neg = bits < 0
     length = neg + np.maximum(point, 1) + 1 + np.maximum(17 - zeros - point, 1)
 
     # Sort the values into runs of one (sign, decimal point) layout; key 0 falls back.
-    key = np.where(fast & ~unsure, neg * 32 + point + 4, 0).astype(np.uint8)
+    key = np.where(sure, neg * 32 + point + 4, 0).astype(np.uint8)
     order = np.argsort(key, kind="stable")
     counts, digits = np.bincount(key), digits.take(order)
     # The ASCII digits from a lead digit ("000d") and four groups of four.
@@ -497,12 +529,12 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         upper = part // 10**4
         quads[:, col], quads[:, col + 1] = table.take(upper), table.take(part - upper * 10**4)
     ascii, text = quads.view(np.uint8)[:, 3:], np.empty((n, _CSV_WIDTH), np.uint8)
-    for run in np.flatnonzero(counts[1:]) + 1:
-        rows = slice(counts[:run].sum(), counts[: run + 1].sum())
-        out, d = text[rows], ascii[rows]
-        s, p = divmod(int(run), 32)
+    text[:, 0] = 45  # "-", overwritten when positive
+    ends = np.cumsum(counts).tolist()
+    for run in np.flatnonzero(counts[1:]).tolist():
+        out, d = text[ends[run] : ends[run + 1]], ascii[ends[run] : ends[run + 1]]
+        s, p = divmod(run + 1, 32)
         p -= 4
-        out[:, 0] = 45  # "-", overwritten when positive
         if p > 0:
             out[:, s : s + p], out[:, s + p], out[:, s + p + 1 : s + 18] = d[:, :p], 46, d[:, p:]
         else:
@@ -521,16 +553,15 @@ def _repr_text(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return text.take(back, axis=0), length
 
 
-def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> np.ndarray:
-    """CSV bytes of rows ``start .. start + _CSV_BLOCK_ROWS`` of the side-by-side columns.
+def _csv_block(columns: "list[np.ndarray]") -> np.ndarray:
+    """CSV bytes of the rows of the side-by-side columns.
 
     The bytes come back as a uint8 array, which a binary file writes as it
     is.  Every value is written as its ``repr``; integer columns (exact as
     floats below 2**53) drop the ``.0``.
     """
-    cols = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
-    ints = np.concatenate([np.full(c[0].size, c.dtype.kind in "iu") for c in cols])
-    block = np.column_stack(cols).astype(np.float64, copy=False)
+    ints = np.concatenate([np.full(c[0].size, c.dtype.kind in "iu") for c in columns])
+    block = np.column_stack(columns).astype(np.float64, copy=False)
     if np.any(np.abs(block[:, ints]) >= 2.0**53):
         raise ValueError("integer CSV columns must stay below 2**53 in magnitude")
     text, length = _repr_text(block.ravel())
@@ -542,6 +573,18 @@ def _csv_block(columns: "tuple[np.ndarray, ...]", start: int) -> np.ndarray:
     return text[_CSV_PREFIX.take(length, axis=0)]
 
 
+def _csv_blocks(columns: "tuple[np.ndarray, ...]"):
+    """Yield the CSV bytes of the side-by-side columns, ``_CSV_BLOCK_VALUES`` at a time.
+
+    Blocks are formatted independently, so the bytes do not depend on the
+    block size, and a block's temporaries do not grow with the table.
+    """
+    width = sum(math.prod(col.shape[1:]) for col in columns)
+    rows = max(1, _CSV_BLOCK_VALUES // width)
+    for start in range(0, len(columns[0]), rows):
+        yield _csv_block([col[start : start + rows] for col in columns])
+
+
 def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]") -> None:
     """Write ``header`` and the rows of the side-by-side columns at full precision.
 
@@ -550,8 +593,8 @@ def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]
     """
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            f.write(_csv_block(columns, start))
+        for block in _csv_blocks(columns):
+            f.write(block)
 
 
 def write_trajectory_csv(traj: Trajectory, path: "str | Path") -> None:

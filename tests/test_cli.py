@@ -184,7 +184,8 @@ def test_debias_disconnected_is_numerical_failure(tmp_path, capsys):
 @pytest.mark.parametrize("coupling, code, tail", [
     (150, 0, " (consensus under any lag is still guaranteed below 1)\n"),
     (1500, 3, ", and at 1 or more consensus under any lag is no longer guaranteed\n"
-              "numerical failure: statistic run did not reach global sync (verdict NONE)\n"),
+              "numerical failure: statistic run did not reach global sync (verdict NONE) in 6000 "
+              "steps; a longer horizon (--horizon) may let it settle\n"),
 ])
 def test_step_size_warning_is_one_stderr_line(tmp_path, capsys, coupling, code, tail):
     graph, params = tmp_path / "ring.json", tmp_path / "p.json"
@@ -199,6 +200,28 @@ def test_step_size_warning_is_one_stderr_line(tmp_path, capsys, coupling, code, 
         assert err == (f"warning: step_s * coupling rate reaches {coupling / 1000:g}, over the "
                        "accuracy guard 0.1: expect a stiff, possibly inaccurate integration"
                        + tail)
+
+
+def test_one_parser_serves_every_call(chain_files, capsys):
+    # main builds its parser once per process; calls that alternate
+    # subcommands and usage errors read as if each had a fresh parser.
+    graph, params = chain_files
+    calls = [
+        ["analyze", "--graph", graph],
+        ["predict", "--graph", graph, "--bogus", 1],
+        ["predict", "--graph", graph, "--params", params],
+        ["simulate", "--graph", graph, "--params", params],
+        ["frobnicate"],
+        ["debias", "--graph", graph, "--params", params, "--mode", "analytic"],
+        ["analyze", "--graph", graph],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 1, 1, 0, 0]
+    assert [run_cli(argv, capsys) for argv in calls] == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 # === study ===
@@ -609,6 +632,26 @@ def test_debias_zero_rate_ring(zero_rate_ring_files, capsys):
         ["debias", "--graph", graph, "--params", params, "--decision", "threshold:0"], capsys
     )
     assert code == 0, err
+    assert abs(json.loads(out)["estimate"]) < 1e-9
+
+
+def test_unsettled_simulated_debias_names_its_horizon(zero_rate_ring_files, capsys):
+    # Stiffness 0.3 keeps consensus under any lag, but it settles slowly:
+    # 6000 steps read NONE, and 40000 steps settle.
+    graph, params = zero_rate_ring_files
+    argv = ["debias", "--graph", graph, "--params", params, "--mode", "simulated",
+            "--coupling", 300]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == (
+        "warning: step_s * coupling rate reaches 0.3, over the accuracy guard 0.1: expect a "
+        "stiff, possibly inaccurate integration (consensus under any lag is still guaranteed "
+        "below 1)\n"
+        "numerical failure: statistic run did not reach global sync (verdict NONE) in 6000 "
+        "steps; a longer horizon (--horizon) may let it settle\n"
+    )
+    code, out, _ = run_cli(argv + ["--horizon", 40000], capsys)
+    assert code == 0
     assert abs(json.loads(out)["estimate"]) < 1e-9
 
 

@@ -11,6 +11,7 @@ import errno
 import io
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -385,7 +386,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     cfg = SimConfig(coupling=3.0, step_s=1e-3, horizon=50)
     traj = simulate(g, params, cfg)
     path = tmp_path / "traj.csv"
-    traj.write_csv(path)
+    dynamics.write_trajectory_csv(traj, path)
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -407,21 +408,30 @@ SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
 CPU_SETS = pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pooled"])
 
 
+def _block_rows(width: int) -> int:
+    """Rows per CSV block of a table ``width`` values wide."""
+    return max(1, dynamics._CSV_BLOCK_VALUES // width)
+
+
 @CPU_SETS
 @settings(deadline=None, max_examples=12)
-@given(rows=st.sampled_from([1, 1023, 1024, 1025, 2049]),
+@given(blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
        n=st.integers(1, 3),
        pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
                      | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=40),
        seed=st.integers(0, 2**32 - 1))
-def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, rows, n, pool, seed):
+def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, blocks, n, pool, seed):
+    # Whole blocks plus a few rows: one row, one short of a block, exactly
+    # one block, one row over, and two blocks and a row.
+    whole, extra = blocks
+    rows = whole * _block_rows(1 + 2 * n) + extra
     rng = np.random.default_rng(seed)
     values = rng.choice(np.array(pool + list(SPECIAL_FLOATS)), size=(rows, 1 + 2 * n))
     traj = Trajectory(1e-3, values[:, 0], values[:, 1 : 1 + n], values[:, 1 + n :])
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        traj.write_csv(path)
+        dynamics.write_trajectory_csv(traj, path)
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"xdot_{i}" for i in range(n)])
     assert path.read_bytes() == (header + "\n" + repr_join(values.tolist())).encode()
     assert multiprocessing.active_children() == []
@@ -432,15 +442,15 @@ def test_csv_block_keys_distinct_values_by_their_bits():
     # every value's own repr, NaNs of either sign and infinities included.
     specials = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
                 5e-324, 1e-5, 1e16]
-    rows = dynamics._CSV_BLOCK_ROWS + 3
-    values = np.random.default_rng(5).choice(np.array(specials), size=(rows, 7))
+    step = _block_rows(7)
+    values = np.random.default_rng(5).choice(np.array(specials), size=(step + 3, 7))
     values[0] = specials[:7]
     columns = (values[:, 0], values[:, 1:4], values[:, 4:])
-    for start in (0, dynamics._CSV_BLOCK_ROWS):
-        block = values[start : start + dynamics._CSV_BLOCK_ROWS].tolist()
-        assert dynamics._csv_block(columns, start).tobytes() == repr_join(block).encode()
-    first = dynamics._csv_block(columns, 0).tobytes()
-    assert first.startswith(b"0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
+    blocks = [block.tobytes() for block in dynamics._csv_blocks(columns)]
+    assert len(blocks) == 2
+    for start, got in zip((0, step), blocks):
+        assert got == repr_join(values[start : start + step].tolist()).encode()
+    assert blocks[0].startswith(b"0.0,-0.0,nan,nan,inf,-inf,5e-324\n")
 
 
 def _near_edge_values() -> list:
@@ -498,8 +508,7 @@ def test_csv_kernel_sweep_is_the_plain_repr_join_and_takes_every_fallback(monkey
     sweep = np.append(sweep, np.zeros(-sweep.size % 9)).reshape(-1, 9)
     fallen = []
     monkeypatch.setattr(dynamics, "repr", lambda x: fallen.append(x) or repr(x), raising=False)
-    got = b"".join(dynamics._csv_block((sweep,), start)
-                   for start in range(0, len(sweep), dynamics._CSV_BLOCK_ROWS))
+    got = b"".join(dynamics._csv_blocks((sweep,)))
     assert got == repr_join(sweep.tolist()).encode()
     classes = {_fallback_class(x) for x in fallen}
     assert classes >= {"non-finite", "zero", "subnormal", "out of range", "power of two",
@@ -508,26 +517,75 @@ def test_csv_kernel_sweep_is_the_plain_repr_join_and_takes_every_fallback(monkey
 
 
 @settings(deadline=None, max_examples=40)
-@given(rows=st.sampled_from([1, 2, 1023, 1025]),
+@given(blocks=st.sampled_from([(0, 1), (0, 2), (1, -1), (1, 1)]),
        cols=st.integers(1, 4),
        pool=st.lists(st.floats(), min_size=1, max_size=30),
        steps=st.none() | st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
-def test_csv_blocks_are_the_plain_repr_join(rows, cols, pool, steps, seed):
+def test_csv_blocks_are_the_plain_repr_join(blocks, cols, pool, steps, seed):
+    whole, extra = blocks
+    rows = whole * _block_rows(cols + (steps is not None)) + extra
     rng = np.random.default_rng(seed)
     values = rng.choice(np.array(pool), size=(rows, cols))
     columns, lines = (values,), values.tolist()
     if steps is not None:
         ints = rng.choice(np.array(steps, dtype=np.int64), size=rows)
         columns, lines = (ints, values), [[i, *row] for i, row in zip(ints.tolist(), lines)]
-    got = b"".join(dynamics._csv_block(columns, start)
-                   for start in range(0, rows, dynamics._CSV_BLOCK_ROWS))
+    got = b"".join(dynamics._csv_blocks(columns))
     assert got == repr_join(lines).encode()
+
+
+@settings(deadline=None, max_examples=30)
+@given(width=st.sampled_from([1, 3, 19, 81]),
+       rows=st.integers(1, 40),
+       pool=st.lists(st.floats(), min_size=1, max_size=30),
+       steps=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_bytes_do_not_depend_on_the_block_budget(tmp_path_factory, width, rows, pool,
+                                                     steps, seed):
+    # Budgets of 1 and 7 values split every table into rows of their own or
+    # a few; 81 fits whole rows of the narrow tables.  The default's own
+    # splits are checked against the repr join above.
+    rng = np.random.default_rng(seed)
+    columns = (rng.choice(np.array(pool), size=(rows, width)),)
+    if steps:
+        columns = (rng.integers(-(2**53) + 1, 2**53, rows),) + columns
+    header = ",".join(f"c{i}" for i in range(width + steps))
+    written = []
+    for budget in (1, 7, 81, dynamics._CSV_BLOCK_VALUES):
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CSV_BLOCK_VALUES", budget)
+            dynamics._write_csv(path, header, columns)
+        written.append(path.read_bytes())
+    assert written[1:] == written[:1] * 3
+
+
+def test_trajectory_csv_memory_is_bounded_by_the_block():
+    # An 81-column trajectory (40 nodes) is written in blocks whose
+    # temporaries, not the table, set the writer's traced peak: about 12k
+    # rows, then the same blocks four times over, peak no higher.
+    rng = np.random.default_rng(3)
+    rows = 30 * _block_rows(81)
+    table = np.column_stack([np.arange(rows) * 1e-3, rng.normal(size=(rows, 40)),
+                             np.round(rng.normal(size=(rows, 40)), 4)])
+    peaks = []
+    for copies in (1, 4):
+        values = np.tile(table, (copies, 1))
+        traj = Trajectory(1e-3, values[:, 0], values[:, 1:41], values[:, 41:])
+        tracemalloc.start()
+        try:
+            dynamics.write_trajectory_csv(traj, os.devnull)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8e6
+    assert peaks[1] <= peaks[0]
 
 
 def test_integer_csv_columns_must_be_exact_as_floats():
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        dynamics._csv_block((np.array([2**53]), np.zeros(1)), 0)
+        dynamics._csv_block([np.array([2**53]), np.zeros(1)])
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
