@@ -65,15 +65,12 @@ from .experiments import (
     run_estimation_study,
     run_topology_study,
 )
-from .netgen import GenerationBudgetError
+from .netgen import _INIT_TAG, _TRUTH_TAG, GenerationBudgetError, _rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-_INIT_SEED_TAG = 9
-_NOISE_SEED_TAG = 10
 
 
 class UsageError(Exception):
@@ -153,8 +150,8 @@ def _load_params_file(path: str, n: int, seed: int) -> NodeParams:
                     raise ValueError(f"truth must be a finite number, got {truth!r}")
                 if not np.all(variances > 0):  # before the square root below
                     raise ValueError("noise variances must be positive")
-                rng = np.random.default_rng(np.random.SeedSequence([seed, _NOISE_SEED_TAG]))
-                obs = amps * float(truth) + rng.normal(0.0, np.sqrt(variances))
+                noise = _rng(seed, _TRUTH_TAG).normal(0.0, np.sqrt(variances))
+                obs = amps * float(truth) + noise
             params = ml_setup(amps, variances, obs)
         else:
             raise KeyError("u/c or A/sigma2 fields")
@@ -220,8 +217,7 @@ def _build_init(text: str, graph: Digraph, step_s: float, seed: int) -> "float |
             raise UsageError(f"bad constant initial condition {text!r}") from exc
     if text == "random":
         m_max = int(quantize_delays(graph, step_s).max(initial=0))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_SEED_TAG]))
-        return rng.normal(0.0, 1.0, size=(m_max + 1, graph.n))
+        return _rng(seed, _INIT_TAG).normal(0.0, 1.0, size=(m_max + 1, graph.n))
     raise UsageError(f"unknown initial condition {text!r}; use zero, constant:<v>, or random")
 
 

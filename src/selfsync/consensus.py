@@ -29,6 +29,7 @@ from .dynamics import (
     SimConfig,
     VerdictKind,
     _history,
+    _listeners,
     detect_consensus,
     quantize_delays,
     simulate,
@@ -204,17 +205,17 @@ def debias_two_step(
     if mode is DebiasMode.SIMULATED:
         # Both runs as one 2-copy union, each copy starting from the given
         # history; detect_consensus scales by the whole run, so each copy is
-        # detected on its own columns.
-        if params.n != g.n:
-            raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
+        # detected on its own columns.  Past stiffness 1 a run may never
+        # settle, so a longer horizon is no cure.
+        settles = _listeners(g, params, cfg, g.src)[-1] < 1.0
         m_max = int(quantize_delays(g, cfg.step_s).max(initial=0))
         history = _history(cfg.init, m_max + 1, g.n)
         pair = NodeParams(weights=np.tile(params.weights, 2),
                           stats=np.concatenate([params.stats, ones.stats]))
         both = simulate(disjoint_union([g, g]), pair, dataclasses.replace(
             cfg, init=np.hstack([history, history]))).derivs
-        omega_stat = _global_rate(both[:, : g.n], "statistic run")
-        omega_ref = _global_rate(both[:, g.n :], "all-ones run")
+        omega_stat = _global_rate(both[:, : g.n], "statistic run", settles)
+        omega_ref = _global_rate(both[:, g.n :], "all-ones run", settles)
     else:
         # Both closed forms share the report and the delay load.
         report, delay_load = _closed_form_inputs(g, params, cfg.coupling, cfg.step_s)
@@ -234,15 +235,12 @@ def debias_two_step(
     )
 
 
-def _global_rate(derivs: np.ndarray, label: str) -> float:
+def _global_rate(derivs: np.ndarray, label: str, settles: bool) -> float:
     verdict = detect_consensus(derivs)
-    if verdict.kind is VerdictKind.NONE:
-        raise DebiasError(
-            f"{label} did not reach global sync (verdict NONE) in {len(derivs)} steps; "
-            "a longer horizon (--horizon) may let it settle"
-        )
     if verdict.kind is not VerdictKind.GLOBAL:
-        raise DebiasError(f"{label} did not reach global sync (verdict {verdict.kind.value})")
+        hint = (f" in {len(derivs)} steps; a longer horizon (--horizon) may let it settle"
+                if verdict.kind is VerdictKind.NONE and settles else "")
+        raise DebiasError(f"{label} did not reach global sync (verdict {verdict.kind.value}){hint}")
     return verdict.omega
 
 
@@ -252,8 +250,8 @@ class DecisionRule:
 
     Presets: ``identity``; ``exp`` (use when statistics are log-domain);
     ``threshold`` with a finite level, mapping to 1.0/0.0.  Any other kind,
-    or a threshold without a finite level, raises ``ValueError`` at
-    construction.
+    a threshold without a finite level, or a level on another kind raises
+    ``ValueError`` at construction.
     """
 
     kind: str
@@ -261,25 +259,20 @@ class DecisionRule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "exp", "threshold"):
-            raise ValueError(f"unknown decision rule kind {self.kind!r}")
+            raise ValueError(f"unknown kind {self.kind!r}; use identity, exp, or threshold:<level>")
+        if self.kind != "threshold" and self.level is not None:
+            raise ValueError(f"{self.kind} rule takes no level, got {self.level!r}")
         if self.kind == "threshold" and (self.level is None or not math.isfinite(self.level)):
             raise ValueError(f"threshold rule needs a finite level, got {self.level!r}")
 
     @staticmethod
     def parse(text: str) -> "DecisionRule":
-        if text == "identity":
-            return DecisionRule("identity")
-        if text == "exp":
-            return DecisionRule("exp")
-        if text.startswith("threshold:"):
-            try:
-                level = float(text.split(":", 1)[1])
-            except ValueError as exc:
-                raise ValueError(f"bad threshold level in {text!r}") from exc
-            if not math.isfinite(level):
-                raise ValueError(f"threshold level in {text!r} must be finite")
-            return DecisionRule("threshold", level)
-        raise ValueError(f"unknown decision rule {text!r}; use identity, exp, or threshold:<level>")
+        """The rule ``identity``, ``exp`` or ``threshold:<level>`` names."""
+        kind, colon, level = text.partition(":")
+        try:
+            return DecisionRule(kind, float(level) if colon else None)
+        except ValueError as exc:
+            raise ValueError(f"bad decision rule {text!r}: {exc}") from None
 
     def __call__(self, value: float) -> float:
         """The decision for one estimate; ``OverflowError`` when ``exp`` overflows."""

@@ -174,10 +174,9 @@ def quantize_delays(g: Digraph, step_s: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: ``states[k]`` and ``derivs[k]`` at time ``times[k]``."""
+    """Recorded run: ``states[k]`` and ``derivs[k]`` at time ``k * step_s``."""
 
     step_s: float
-    times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
 
@@ -200,8 +199,25 @@ def simulate(g: Digraph, params: NodeParams, cfg: SimConfig) -> Trajectory:
     derivative is non-finite.
     """
     ((_, states, derivs),) = _integrate(g, params, cfg, cfg.horizon)
-    times = np.arange(cfg.horizon) * cfg.step_s
-    return Trajectory(step_s=cfg.step_s, times=times, states=states, derivs=derivs)
+    return Trajectory(step_s=cfg.step_s, states=states, derivs=derivs)
+
+
+def _listeners(g: Digraph, params: NodeParams, cfg: SimConfig, taps: np.ndarray):
+    """The gains and ``taps`` of the links sorted stably by listener, each
+    listener's first link and node id, each node's rate ``K / c_i`` and
+    received gain sum, and the largest ``step_s * rate * gain sum``: the
+    stiffness that :class:`StepSizeWarning` reports."""
+    if params.n != g.n:
+        raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
+    dsts, gains = g.dst, g.gain
+    if np.any(dsts[1:] < dsts[:-1]):  # generated graphs come sorted already
+        order = np.argsort(dsts, kind="stable")
+        dsts, gains, taps = dsts[order], gains[order], taps[order]
+    first = np.flatnonzero(np.diff(dsts, prepend=-1))
+    rate, inflow = cfg.coupling / params.weights, np.zeros(g.n)
+    inflow[dsts[first]] = np.add.reduceat(gains, first)
+    stiffness = float(np.max(cfg.step_s * rate * inflow)) if g.n else 0.0
+    return gains, taps, first, dsts[first], rate, inflow, stiffness
 
 
 def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
@@ -215,29 +231,16 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     over the whole horizon.  A block with a non-finite derivative raises
     :class:`SimulationDiverged` naming the first such step.
     """
-    if params.n != g.n:
-        raise ValueError(f"params are for {params.n} nodes, graph has {g.n}")
     n = g.n
     lags = quantize_delays(g, cfg.step_s)
     m_max = int(lags.max(initial=0))
     horizon = cfg.horizon
     window = min(window, horizon)
 
-    # Links sorted by listener (stably, so each listener keeps its edge
-    # order): heard node heard[j] owns the segment first[j] .. first[j + 1].
     # At block step k, link e reads x[m_max + k - lag_e, src_e]: flat index k * n + taps[e].
-    dsts, gains, taps = g.dst, g.gain, (m_max - lags) * n + g.src
-    if np.any(dsts[1:] < dsts[:-1]):  # generated graphs come sorted already
-        order = np.argsort(dsts, kind="stable")
-        dsts, gains, taps = dsts[order], gains[order], taps[order]
-    first = np.flatnonzero(np.diff(dsts, prepend=-1))
-    heard = dsts[first]
-    links, segs = gains.size, first.size
-
-    rate, stats, step_s = cfg.coupling / params.weights, params.stats, cfg.step_s
-    inflow = np.zeros(n)
-    inflow[heard] = np.add.reduceat(gains, first)
-    stiffness = float(np.max(step_s * rate * inflow)) if n else 0.0
+    gains, taps, first, heard, rate, inflow, stiffness = _listeners(
+        g, params, cfg, (m_max - lags) * n + g.src)
+    links, segs, stats, step_s = gains.size, first.size, params.stats, cfg.step_s
     if stiffness > STIFFNESS_GUARD:
         any_lag = (", and at 1 or more consensus under any lag is no longer guaranteed"
                    if stiffness >= 1.0 else " (consensus under any lag is still guaranteed below 1)")
@@ -255,6 +258,8 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     # step into tiles of whole listener segments (a longer segment alone).
     # Each segment sums the same products in the same order as one step's
     # np.add.reduceat over every link, so the tiling does not move a bit.
+    # Every tile pulls `span` steps: the last tile of a block may pull sums
+    # for steps past the block's end, which are never used.
     lag_min = int(lags.min(initial=m_max))
     span = max(1, min(lag_min + 1, _BLOCK_LINKS // max(links, 1)))
     if span > 1:
@@ -278,16 +283,11 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
     pull = sums if segs == n else np.zeros((span, n))
     flat_sums = sums.reshape(-1)
 
-    def tiles(steps: int) -> list:
-        """(taps, gains, buffer, segment starts, sums) of each tile of ``steps`` steps."""
-        views = []
-        for a, b in zip(cuts, cuts[1:]):
-            lo, width, count = int(bounds[a]), steps * int(bounds[b] - bounds[a]), steps * (b - a)
-            views.append((taps[lo : lo + width], gains[lo : lo + width], gathered[:width],
-                          first[a : a + count] - lo, flat_sums[a : a + count]))
-        return views
-
-    whole = tiles(span)
+    plan = []  # (taps, gains, buffer, segment starts, sums) of each tile
+    for a, b in zip(cuts, cuts[1:]):
+        lo, width, count = int(bounds[a]), span * int(bounds[b] - bounds[a]), span * (b - a)
+        plan.append((taps[lo : lo + width], gains[lo : lo + width], gathered[:width],
+                     first[a : a + count] - lo, flat_sums[a : a + count]))
     # Rows 0 .. m_max hold the history at block steps -m_max .. 0; row
     # m_max + k is the state at block step k; the block's final step
     # writes a spare last row.
@@ -321,14 +321,13 @@ def _integrate(g: Digraph, params: NodeParams, cfg: SimConfig, window: int):
                 rows, deriv_rows = list(x[m_max + c : m_max + stop + 1]), list(derivs[c:stop])
                 for k in range(c, stop, span):  # one tile: pull for steps k .. end
                     end = min(k + span, stop)
-                    plan = whole if end - k == span else tiles(end - k)
                     states = flat[k * n :]
                     for tap, gain, buf, starts, out in plan:
                         states.take(tap, None, buf, "clip")
                         mul(gain, buf, buf)
                         segment_sums(buf, starts, 0, None, out)
                     if pull is not sums:
-                        pull[: end - k, heard] = sums[: end - k]
+                        pull[:, heard] = sums
                     for j, pulled in zip(range(k - c, end - c), pull_rows):
                         now = rows[j]
                         mul(inflow, now, tmp)
@@ -573,34 +572,36 @@ def _csv_block(columns: "list[np.ndarray]") -> np.ndarray:
     return text[_CSV_PREFIX.take(length, axis=0)]
 
 
-def _csv_blocks(columns: "tuple[np.ndarray, ...]"):
+def _csv_blocks(columns: "tuple[np.ndarray, ...]", step_s: "float | None" = None):
     """Yield the CSV bytes of the side-by-side columns, ``_CSV_BLOCK_VALUES`` at a time.
 
     Blocks are formatted independently, so the bytes do not depend on the
     block size, and a block's temporaries do not grow with the table.
+    With ``step_s``, row ``k`` leads with its time ``k * step_s``, made
+    block by block for the same reason.
     """
-    width = sum(math.prod(col.shape[1:]) for col in columns)
+    width = (step_s is not None) + sum(math.prod(col.shape[1:]) for col in columns)
     rows = max(1, _CSV_BLOCK_VALUES // width)
     for start in range(0, len(columns[0]), rows):
-        yield _csv_block([col[start : start + rows] for col in columns])
+        block = [col[start : start + rows] for col in columns]
+        times = [] if step_s is None else [np.arange(start, start + len(block[0])) * step_s]
+        yield _csv_block(times + block)
 
 
-def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]") -> None:
+def _write_csv(path: "str | Path", header: str, columns: "tuple[np.ndarray, ...]",
+               step_s: "float | None" = None) -> None:
     """Write ``header`` and the rows of the side-by-side columns at full precision.
 
     Rows are formatted and written one block at a time, so the whole text
-    is never held in memory.
+    is never held in memory; ``step_s`` is as in :func:`_csv_blocks`.
     """
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
-        for block in _csv_blocks(columns):
+        for block in _csv_blocks(columns, step_s):
             f.write(block)
 
 
 def write_trajectory_csv(traj: Trajectory, path: "str | Path") -> None:
     """Write ``t,x_0..x_{n-1},xdot_0..xdot_{n-1}`` rows at full precision."""
-    n = traj.n
-    header = "t," + ",".join(f"x_{i}" for i in range(n)) + "," + ",".join(
-        f"xdot_{i}" for i in range(n)
-    )
-    _write_csv(path, header, (traj.times, traj.states, traj.derivs))
+    header = ",".join(["t", *(f"{v}_{i}" for v in ("x", "xdot") for i in range(traj.n))])
+    _write_csv(path, header, (traj.states, traj.derivs), traj.step_s)

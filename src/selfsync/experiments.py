@@ -32,9 +32,13 @@ from .dynamics import (
     simulate,
 )
 from .netgen import (
+    _NOISE_TAG,
+    _RUN_TAG,
     Fading,
     GenerationBudgetError,
     RadioConfig,
+    _child_seed,
+    _rng,
     ensure_connectivity,
 )
 
@@ -48,8 +52,7 @@ __all__ = [
     "run_estimation_study",
 ]
 
-_RUN_TAG = 7
-_NOISE_TAG = 8
+_CURVES = "abcd"  # the estimate curves, lettered as in McSummary
 
 # The estimation study simulates consecutive runs as one disjoint union of
 # at most this many links, about 7 default runs (40 nodes, 3 copies of
@@ -65,50 +68,29 @@ _PASS_LINKS = 2**15
 _PASS_WINDOW = 1024
 
 
-def _unit_links(n: int, dst: list, src: list, delay_s: float) -> Digraph:
-    """Graph of unit-gain links ``dst[k]`` hearing ``src[k]``, each delayed ``delay_s``."""
-    return Digraph.from_arrays(n, dst, src, np.ones(len(dst)), np.full(len(dst), delay_s))
-
-
-def _chain_network(delay_s: float) -> tuple[Digraph, NodeParams]:
-    """Three unit-gain 3-cycles in a line; only the first influences all."""
-    g = _unit_links(
-        9,
-        # cycles 0 -> 1 -> 2, 3 -> 4 -> 5 and 6 -> 7 -> 8; then 3 hears the
-        # first cycle and 6 the second
-        [1, 2, 0, 4, 5, 3, 7, 8, 6, 3, 6],
-        [0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3],
-        delay_s,
-    )
-    params = NodeParams(weights=np.ones(9), stats=np.arange(1.0, 10.0))
-    return g, params
-
-
-def _forest_network(delay_s: float) -> tuple[Digraph, NodeParams]:
-    """Two root trees plus a middle 2-cycle hearing one leaf of each tree."""
-    g = _unit_links(
-        8,
-        # trees 0 -> {1, 2} and 3 -> {4, 5}; the middle 2-cycle {6, 7};
-        # 6 hears leaf 1 and 7 hears leaf 4
-        [1, 2, 4, 5, 6, 7, 6, 7],
-        [0, 0, 3, 3, 7, 6, 1, 4],
-        delay_s,
-    )
-    stats = np.array([2.0, 0.5, 1.0, 4.0, 3.5, 3.0, 1.5, 2.5])
-    params = NodeParams(weights=np.ones(8), stats=stats)
-    return g, params
-
-
-PRESETS = ("chain", "forest")
+# Each preset's (nodes, listeners, sources, stats): unit-gain links, link k
+# carrying sources[k] to listeners[k], all with the preset's uniform delay.
+_PRESET_LINKS = {
+    # Three 3-cycles in a line, 0 -> 1 -> 2, 3 -> 4 -> 5 and 6 -> 7 -> 8;
+    # 3 hears the first cycle and 6 the second, so only the first
+    # influences all.
+    "chain": (9, (1, 2, 0, 4, 5, 3, 7, 8, 6, 3, 6), (0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3),
+              (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)),
+    # Two root trees 0 -> {1, 2} and 3 -> {4, 5}, and a middle 2-cycle
+    # {6, 7} in which 6 hears leaf 1 and 7 hears leaf 4.
+    "forest": (8, (1, 2, 4, 5, 6, 7, 6, 7), (0, 0, 3, 3, 7, 6, 1, 4),
+               (2.0, 0.5, 1.0, 4.0, 3.5, 3.0, 1.5, 2.5)),
+}
+PRESETS = tuple(_PRESET_LINKS)
 
 
 def preset_network(name: str, *, delay_s: float) -> tuple[Digraph, NodeParams]:
     """Build a preset topology with a uniform link delay (seconds)."""
-    if name == "chain":
-        return _chain_network(delay_s)
-    if name == "forest":
-        return _forest_network(delay_s)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
+    if name not in _PRESET_LINKS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
+    n, dst, src, stats = _PRESET_LINKS[name]
+    g = Digraph.from_arrays(n, dst, src, np.ones(len(dst)), np.full(len(dst), delay_s))
+    return g, NodeParams(weights=np.ones(n), stats=stats)
 
 
 @dataclass(frozen=True)
@@ -232,37 +214,18 @@ class McSummary:
     ml_variance: float
 
     def write_csv(self, path: "str | Path") -> None:
-        header = "step,mean_a,mean_b,mean_c,mean_d,std_a,std_b,std_c,std_d"
-        cols = (
-            self.steps,
-            self.mean_a, self.mean_b, self.mean_c, self.mean_d,
-            self.std_a, self.std_b, self.std_c, self.std_d,
-        )
-        _write_csv(path, header, cols)
+        names = [f"{stat}_{c}" for stat in ("mean", "std") for c in _CURVES]
+        _write_csv(path, ",".join(["step", *names]),
+                   (self.steps, *(getattr(self, name) for name in names)))
 
     def summary_dict(self) -> dict:
+        doc = {"runs": self.runs, "truth": self.truth, "ml_variance": self.ml_variance}
+        for stat in ("mean", "std"):
+            doc.update({f"final_{stat}_{c}": float(getattr(self, f"{stat}_{c}")[-1])
+                        for c in _CURVES})
         se = self.runs**0.5
-        return {
-            "runs": self.runs,
-            "truth": self.truth,
-            "ml_variance": self.ml_variance,
-            "final_mean_a": float(self.mean_a[-1]),
-            "final_mean_b": float(self.mean_b[-1]),
-            "final_mean_c": float(self.mean_c[-1]),
-            "final_mean_d": float(self.mean_d[-1]),
-            "final_std_a": float(self.std_a[-1]),
-            "final_std_b": float(self.std_b[-1]),
-            "final_std_c": float(self.std_c[-1]),
-            "final_std_d": float(self.std_d[-1]),
-            "final_se_a": float(self.std_a[-1] / se),
-            "final_se_b": float(self.std_b[-1] / se),
-            "final_se_c": float(self.std_c[-1] / se),
-            "final_se_d": float(self.std_d[-1] / se),
-        }
-
-
-def _run_seed(seed: int, tag: int, run: int) -> int:
-    return int(np.random.SeedSequence([seed, tag, run]).generate_state(1)[0])
+        doc.update({f"final_se_{c}": float(getattr(self, f"std_{c}")[-1] / se) for c in _CURVES})
+        return doc
 
 
 def _estimation_pass(runs: "list[tuple[int, Digraph, NodeParams]]", sim_cfg: SimConfig,
@@ -312,7 +275,7 @@ def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummar
     amps = np.full(cfg.nodes, float(cfg.amplitude))
     variances = np.full(cfg.nodes, float(cfg.noise_var))
 
-    curves = {key: np.empty((cfg.runs, horizon)) for key in ("a", "b", "c", "d")}
+    curves = {key: np.empty((cfg.runs, horizon)) for key in _CURVES}
     ml_variance = float(cfg.noise_var / (cfg.nodes * cfg.amplitude**2))
 
     pending: "list[tuple[int, Digraph, NodeParams]]" = []  # runs of the open pass
@@ -325,7 +288,7 @@ def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummar
             hear_threshold=cfg.hear_threshold,
             fading=Fading.RAYLEIGH,
             delay_span_s=cfg.delay_span_steps * cfg.step_s,
-            seed=_run_seed(cfg.seed, _RUN_TAG, run),
+            seed=_child_seed(cfg.seed, _RUN_TAG, run),
         )
         try:
             net = ensure_connectivity(radio, "SC", max_attempts=cfg.max_attempts)
@@ -334,10 +297,8 @@ def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummar
                 f"run {run}: {exc}", attempts=exc.attempts
             ) from exc
 
-        noise_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _NOISE_TAG, run])
-        )
-        obs = amps * cfg.truth + noise_rng.normal(0.0, np.sqrt(variances))
+        noise = _rng(cfg.seed, _NOISE_TAG, run).normal(0.0, np.sqrt(variances))
+        obs = amps * cfg.truth + noise
         params = ml_setup(amps, variances, obs)
 
         central, _ = centralized_ml(amps, variances, obs)

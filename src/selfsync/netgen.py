@@ -30,9 +30,14 @@ __all__ = [
     "ensure_connectivity",
 ]
 
-_PLACEMENT_TAG = 0
-_FADING_TAG = 1
-_ATTEMPT_TAG = 2
+# Seed-stream tags, one per kind of draw: stream (seed, tag, *index) is SeedSequence of them.
+_PLACEMENT_TAG = 0  # a network's node positions
+_FADING_TAG = 1  # its Rayleigh amplitudes
+_ATTEMPT_TAG = 2  # the seed of each connectivity attempt
+_RUN_TAG = 7  # the seed of each estimation-study run's network
+_NOISE_TAG = 8  # each estimation-study run's observation noise
+_INIT_TAG = 9  # the CLI's random initial history
+_TRUTH_TAG = 10  # the CLI's observations drawn around a params file's truth
 
 
 class Fading(str, Enum):
@@ -112,8 +117,14 @@ class GeneratedNetwork:
     seed: int
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tag]))
+def _rng(*entropy: int) -> np.random.Generator:
+    """The generator of seed stream ``entropy``: a seed, its tag and any index."""
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _child_seed(*entropy: int) -> int:
+    """One seed drawn from stream ``entropy``, for a draw that splits its own streams."""
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def place_nodes(cfg: RadioConfig) -> np.ndarray:
@@ -197,10 +208,6 @@ def build_channel(cfg: RadioConfig, positions: np.ndarray) -> Digraph:
     return Digraph.from_arrays(cfg.n, dst, src, gain, delay)
 
 
-def _attempt_seed(seed: int, attempt: int) -> int:
-    return int(np.random.SeedSequence([seed, _ATTEMPT_TAG, attempt]).generate_state(1)[0])
-
-
 def ensure_connectivity(
     cfg: RadioConfig,
     target: str = "SC",
@@ -230,7 +237,7 @@ def ensure_connectivity(
     )
     threshold = cfg.hear_threshold
     for attempt in range(1, max_attempts + 1):
-        child = _attempt_seed(cfg.seed, attempt)
+        child = _child_seed(cfg.seed, _ATTEMPT_TAG, attempt)
         trial = dataclasses.replace(cfg, seed=child, hear_threshold=threshold)
         positions = place_nodes(trial)
         graph = build_channel(trial, positions)

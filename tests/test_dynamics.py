@@ -81,7 +81,7 @@ def test_isolated_node_integrates_its_statistic():
     cfg = SimConfig(coupling=30.0, step_s=1e-3, horizon=100)
     traj = simulate(g, params, cfg)
     assert np.array_equal(traj.derivs, np.full((100, 1), 5.0))
-    assert np.allclose(traj.states[:, 0], 5.0 * traj.times, rtol=0, atol=1e-12)
+    assert np.allclose(traj.states[:, 0], 5.0 * (np.arange(100) * 1e-3), rtol=0, atol=1e-12)
 
 
 def test_pair_zero_delay_settles_to_weighted_mean():
@@ -394,7 +394,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert len(rows) == 51
     for k, row in enumerate(rows[1:]):
         vals = [float(cell) for cell in row]
-        assert vals[0] == traj.times[k]
+        assert vals[0] == k * 1e-3
         assert vals[1] == traj.states[k, 0] and vals[2] == traj.states[k, 1]
         assert vals[3] == traj.derivs[k, 0] and vals[4] == traj.derivs[k, 1]
 
@@ -427,7 +427,8 @@ def test_trajectory_csv_is_the_plain_repr_join(tmp_path_factory, cpus, blocks, n
     rows = whole * _block_rows(1 + 2 * n) + extra
     rng = np.random.default_rng(seed)
     values = rng.choice(np.array(pool + list(SPECIAL_FLOATS)), size=(rows, 1 + 2 * n))
-    traj = Trajectory(1e-3, values[:, 0], values[:, 1 : 1 + n], values[:, 1 + n :])
+    values[:, 0] = np.arange(rows) * 1e-3  # the t column write_trajectory_csv computes
+    traj = Trajectory(1e-3, values[:, 1 : 1 + n], values[:, 1 + n :])
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -567,12 +568,12 @@ def test_trajectory_csv_memory_is_bounded_by_the_block():
     # rows, then the same blocks four times over, peak no higher.
     rng = np.random.default_rng(3)
     rows = 30 * _block_rows(81)
-    table = np.column_stack([np.arange(rows) * 1e-3, rng.normal(size=(rows, 40)),
+    table = np.column_stack([rng.normal(size=(rows, 40)),
                              np.round(rng.normal(size=(rows, 40)), 4)])
     peaks = []
     for copies in (1, 4):
         values = np.tile(table, (copies, 1))
-        traj = Trajectory(1e-3, values[:, 0], values[:, 1:41], values[:, 41:])
+        traj = Trajectory(1e-3, values[:, :40], values[:, 40:])
         tracemalloc.start()
         try:
             dynamics.write_trajectory_csv(traj, os.devnull)
@@ -590,7 +591,7 @@ def test_integer_csv_columns_must_be_exact_as_floats():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_csv_write_raises_oserror():
-    traj = Trajectory(1e-3, np.zeros(3000), np.zeros((3000, 2)), np.zeros((3000, 2)))
+    traj = Trajectory(1e-3, np.zeros((3000, 2)), np.zeros((3000, 2)))
     with pytest.raises(OSError) as err:
         dynamics.write_trajectory_csv(traj, "/dev/full")
     assert err.value.errno == errno.ENOSPC

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from selfsync import (
+    PRESETS,
     ConnectivityClass,
     Digraph,
     Edge,
@@ -47,6 +48,22 @@ def test_presets_are_their_edge_built_graphs(delay_s):
                          [(1, 0), (2, 0), (4, 3), (5, 3), (6, 7), (7, 6), (6, 1), (7, 4)]])
     assert preset_network("chain", delay_s=delay_s)[0] == chain
     assert preset_network("forest", delay_s=delay_s)[0] == forest
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_network_returns_fresh_arrays(name):
+    # Writing into one call's result leaves the preset table, and so every
+    # later call, as it was.
+    g, params = preset_network(name, delay_s=0.01)
+    stats = params.stats.copy()
+    params.stats[:] = -1.0
+    params.weights[:] = 7.0
+    again, fresh = preset_network(name, delay_s=0.01)
+    assert np.array_equal(fresh.stats, stats) and np.array_equal(fresh.weights, np.ones(g.n))
+    assert again == g
+    for a, b in [(params.stats, fresh.stats), (params.weights, fresh.weights),
+                 (g.dst, again.dst), (g.src, again.src)]:
+        assert not np.shares_memory(a, b)
 
 
 def test_preset_unknown_name():
@@ -169,7 +186,7 @@ def _study_runs(cfg):
     from selfsync import (
         Fading, NodeParams, RadioConfig, centralized_ml, ensure_connectivity, ml_setup,
     )
-    from selfsync.experiments import _NOISE_TAG, _RUN_TAG, _run_seed
+    from selfsync.netgen import _NOISE_TAG, _RUN_TAG, _child_seed, _rng
 
     amps = np.full(cfg.nodes, cfg.amplitude)
     variances = np.full(cfg.nodes, cfg.noise_var)
@@ -178,11 +195,10 @@ def _study_runs(cfg):
             n=cfg.nodes, area_side=1.0, tx_power=cfg.tx_power,
             hear_threshold=cfg.hear_threshold, fading=Fading.RAYLEIGH,
             delay_span_s=cfg.delay_span_steps * cfg.step_s,
-            seed=_run_seed(cfg.seed, _RUN_TAG, run),
+            seed=_child_seed(cfg.seed, _RUN_TAG, run),
         )
         g = ensure_connectivity(radio, "SC", max_attempts=cfg.max_attempts).graph
-        noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_TAG, run]))
-        obs = amps * cfg.truth + noise.normal(0.0, np.sqrt(variances))
+        obs = amps * cfg.truth + _rng(cfg.seed, _NOISE_TAG, run).normal(0.0, np.sqrt(variances))
         params = ml_setup(amps, variances, obs)
         reference = NodeParams(weights=params.weights, stats=np.ones(cfg.nodes))
         yield g, params, reference, centralized_ml(amps, variances, obs)[0]
