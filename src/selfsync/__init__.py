@@ -5,114 +5,15 @@ for networks of integrators that couple through delayed, one-directional
 links.  See the module docstrings for conventions; the hearing orientation
 (``Edge(dst, src, ...)`` means ``dst`` hears ``src``) is used throughout.
 """
-from .consensus import (
-    ClusterPrediction,
-    ConsensusPrediction,
-    DebiasError,
-    DebiasMode,
-    DebiasResult,
-    DecisionRule,
-    DegenerateDebiasError,
-    centralized_ml,
-    debias_two_step,
-    ml_setup,
-    predict,
-)
-from .digraph import (
-    ConnectivityClass,
-    ConnectivityReport,
-    Digraph,
-    Edge,
-    GraphFormatError,
-    NullSpaceError,
-    classify,
-    disjoint_union,
-    laplacian,
-    load_graph,
-    save_graph,
-    scc_decompose,
-)
-from .dynamics import (
-    ConsensusVerdict,
-    DerivativeGroup,
-    NodeParams,
-    SimConfig,
-    SimulationDiverged,
-    StepSizeWarning,
-    Trajectory,
-    VerdictKind,
-    detect_consensus,
-    quantize_delays,
-    simulate,
-)
-from .experiments import (
-    PRESETS,
-    EstimationConfig,
-    McSummary,
-    TopologyStudyResult,
-    preset_network,
-    run_estimation_study,
-    run_topology_study,
-)
-from .netgen import (
-    Fading,
-    GeneratedNetwork,
-    GenerationBudgetError,
-    RadioConfig,
-    build_channel,
-    ensure_connectivity,
-    place_nodes,
-)
+# Each module's __all__ is its public surface; the package re-exports them.
+from . import consensus, digraph, dynamics, experiments, netgen
+from .consensus import *
+from .digraph import *
+from .dynamics import *
+from .experiments import *
+from .netgen import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusterPrediction",
-    "ConnectivityClass",
-    "ConnectivityReport",
-    "ConsensusPrediction",
-    "ConsensusVerdict",
-    "DebiasError",
-    "DebiasMode",
-    "DebiasResult",
-    "DecisionRule",
-    "DegenerateDebiasError",
-    "DerivativeGroup",
-    "Digraph",
-    "Edge",
-    "EstimationConfig",
-    "Fading",
-    "GeneratedNetwork",
-    "GenerationBudgetError",
-    "GraphFormatError",
-    "McSummary",
-    "NodeParams",
-    "NullSpaceError",
-    "PRESETS",
-    "RadioConfig",
-    "SimConfig",
-    "SimulationDiverged",
-    "StepSizeWarning",
-    "TopologyStudyResult",
-    "Trajectory",
-    "VerdictKind",
-    "build_channel",
-    "centralized_ml",
-    "classify",
-    "debias_two_step",
-    "detect_consensus",
-    "disjoint_union",
-    "ensure_connectivity",
-    "laplacian",
-    "load_graph",
-    "ml_setup",
-    "place_nodes",
-    "predict",
-    "preset_network",
-    "quantize_delays",
-    "run_estimation_study",
-    "run_topology_study",
-    "save_graph",
-    "scc_decompose",
-    "simulate",
-]
+__all__ = [name for module in (consensus, digraph, dynamics, experiments, netgen)
+           for name in module.__all__]

@@ -29,6 +29,7 @@ from .dynamics import (
     _integrate,
     _write_csv,
     detect_consensus,
+    quantize_delays,
     simulate,
 )
 from .netgen import (
@@ -61,11 +62,14 @@ _CURVES = "abcd"  # the estimate curves, lettered as in McSummary
 # 2**17 links (medians of 3 on a noisy 2-core host): past 2**15 a step is
 # bound by its links, not by call overhead, and peak RSS grows (64 → 117 MB).
 _PASS_LINKS = 2**15
-# Steps per block of an estimation pass; only the node means of a block are
-# kept, so a pass holds one window of states, not the whole horizon.  On the
-# same 100-run study the whole 3000-step horizon in one block reached a peak
-# RSS of 91 MB against 64 MB with 1024-step blocks, at no gain in time.
-_PASS_WINDOW = 1024
+# Fewest steps per block of an estimation pass: one list of row views of
+# the step loop.  A pass steps max(_PASS_WINDOW, m_max + 1) steps per block,
+# m_max + 1 being its history, and keeps only each block's node means, so
+# it holds about three history lengths of states and moves each history
+# row at most once per step (a shorter block overlaps the history it moves
+# to the front, which numpy copies through a temporary).  The default
+# 100-run study peaks at 51.6 MB RSS against 62.8 MB with 1024-step blocks.
+_PASS_WINDOW = 256
 
 
 # Each preset's (nodes, listeners, sources, stats): unit-gain links, link k
@@ -191,12 +195,11 @@ class McSummary:
 
     Curve letters: a = centralized optimal, b = no-delay network,
     c = delayed network, d = two-step debiased.  ``mean_*``/``std_*`` hold
-    per-step statistics over runs (population std); ``finals_*`` hold the
-    last-step value of every run.  ``ml_variance`` is the closed-form
-    variance of the centralized estimate.
+    per-step statistics over runs (population std), entry ``k`` at step
+    ``k``; ``finals_*`` hold the last-step value of every run.
+    ``ml_variance`` is the closed-form variance of the centralized estimate.
     """
 
-    steps: np.ndarray
     mean_a: np.ndarray
     mean_b: np.ndarray
     mean_c: np.ndarray
@@ -215,8 +218,9 @@ class McSummary:
 
     def write_csv(self, path: "str | Path") -> None:
         names = [f"{stat}_{c}" for stat in ("mean", "std") for c in _CURVES]
+        # A step of 1 leads each row with its integer step index.
         _write_csv(path, ",".join(["step", *names]),
-                   (self.steps, *(getattr(self, name) for name in names)))
+                   tuple(getattr(self, name) for name in names), step_s=1)
 
     def summary_dict(self) -> dict:
         doc = {"runs": self.runs, "truth": self.truth, "ml_variance": self.ml_variance}
@@ -246,8 +250,9 @@ def _estimation_pass(runs: "list[tuple[int, Digraph, NodeParams]]", sim_cfg: Sim
     copies = NodeParams(weights=np.concatenate(weights), stats=np.concatenate(stats))
     first, last, n = runs[0][0], runs[-1][0], runs[0][1].n
     rows = slice(first, last + 1)
+    window = max(_PASS_WINDOW, int(quantize_delays(union, sim_cfg.step_s).max(initial=0)) + 1)
     try:
-        for start, _, derivs in _integrate(union, copies, sim_cfg, _PASS_WINDOW):
+        for start, _, derivs in _integrate(union, copies, sim_cfg, window):
             cols = slice(start, start + len(derivs))
             means = derivs.reshape(len(derivs), len(runs), 3, n).mean(axis=3).T
             curves["b"][rows, cols] = means[0]
@@ -311,14 +316,12 @@ def run_estimation_study(cfg: EstimationConfig = EstimationConfig()) -> McSummar
         links += 3 * net.graph.dst.size
     _estimation_pass(pending, sim_cfg, curves)
 
-    steps = np.arange(horizon)
     stats = {}
     for key, mat in curves.items():
         stats[f"mean_{key}"] = mat.mean(axis=0)
         stats[f"std_{key}"] = mat.std(axis=0, ddof=0)
         stats[f"finals_{key}"] = mat[:, -1].copy()
     return McSummary(
-        steps=steps,
         runs=cfg.runs,
         truth=cfg.truth,
         ml_variance=ml_variance,

@@ -1,4 +1,6 @@
 """Preset topology studies and the Monte Carlo estimation study."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,7 +163,7 @@ def test_estimation_config_validation():
 def test_estimation_study_small_scale():
     cfg = EstimationConfig(nodes=8, runs=4, horizon=900, seed=12)
     summary = run_estimation_study(cfg)
-    assert summary.steps.shape == (900,)
+    assert summary.mean_d.shape == (900,)
     assert summary.finals_a.shape == (4,)
     # Centralized estimates are per-run constants.
     assert np.array_equal(summary.mean_a, np.full(900, summary.mean_a[0]))
@@ -205,7 +207,7 @@ def _study_runs(cfg):
 
 
 def _record_passes(monkeypatch, links: int, window: int) -> list:
-    """Patch the pass budget and window; return the list each pass's runs go to."""
+    """Patch the pass budget and window floor; return the list each pass's runs go to."""
     from selfsync import experiments
 
     real_pass = experiments._estimation_pass
@@ -221,14 +223,16 @@ def test_estimation_study_equals_three_separate_simulations(monkeypatch):
     # The study simulates consecutive runs' three networks as disjoint unions,
     # a window of steps at a time; rebuild every run here with three separate
     # simulate calls instead.  The second input spans three passes (link
-    # budget patched down) with a horizon that its window does not divide.
+    # budget patched down) with a horizon that its window does not divide,
+    # and delays under 64 steps, so the patched window is not raised to
+    # the pass's history.
     from selfsync import SimConfig, simulate
     from selfsync import experiments
 
     for cfg, links, window, want_passes in (
         (EstimationConfig(nodes=6, runs=2, horizon=300, seed=5),
          experiments._PASS_LINKS, experiments._PASS_WINDOW, [[0, 1]]),
-        (EstimationConfig(nodes=6, runs=5, horizon=300, seed=6), 200, 64,
+        (EstimationConfig(nodes=6, runs=5, horizon=300, delay_span_steps=50, seed=6), 200, 64,
          [[0, 1], [2, 3], [4]]),
     ):
         passes = _record_passes(monkeypatch, links, window)
@@ -248,13 +252,15 @@ def test_estimation_study_equals_three_separate_simulations(monkeypatch):
 
 
 def test_diverging_pass_names_its_runs_and_the_first_bad_step(monkeypatch):
-    # Two runs per pass, 64-step windows; the first pass diverges in its
-    # fifth window, at the first step any of its six copies would.
+    # Two runs per pass, 64-step windows (the delays span 50 steps, under
+    # the window); the first pass diverges in its fifth window, at the
+    # first step any of its six copies would.
     import warnings
 
     from selfsync import SimConfig, SimulationDiverged, StepSizeWarning, simulate
 
-    cfg = EstimationConfig(nodes=6, runs=3, horizon=400, coupling=2000.0, seed=3)
+    cfg = EstimationConfig(nodes=6, runs=3, horizon=400, coupling=2000.0, delay_span_steps=50,
+                           seed=3)
     passes = _record_passes(monkeypatch, 200, 64)
     sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=cfg.horizon)
     firsts = []
@@ -270,6 +276,55 @@ def test_diverging_pass_names_its_runs_and_the_first_bad_step(monkeypatch):
     assert passes == [[0, 1]]
     assert 4 * 64 <= info.value.step == min(firsts) < 5 * 64
     assert str(info.value) == f"runs 0-1: non-finite derivative at step {min(firsts)}"
+
+
+def _study_peak(cfg):
+    """The traced peak of ``run_estimation_study(cfg)``, in bytes."""
+    tracemalloc.start()
+    try:
+        run_estimation_study(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimation_pass_memory_is_a_few_history_lengths():
+    # Two runs are one pass of six 40-node copies whose delays span 100
+    # steps: 256-step blocks hold about 1.2 MB of states and derivatives,
+    # where fixed 1024-step blocks held 4.1 MB and peaked at 5.4e6 bytes.
+    assert _study_peak(EstimationConfig(nodes=40, runs=2)) <= 3e6
+
+
+def test_estimation_study_memory_grows_only_by_its_curves():
+    # One 2-node run: the pass is small, so the peak is the summary at
+    # either horizon.  Each further step adds a float to each of the four
+    # run curves, to std's run-curve temporary and its mean row, and to
+    # the eight summary curves: 14 floats; a step column would add a 15th.
+    short, long = (_study_peak(EstimationConfig(nodes=2, runs=1, horizon=horizon))
+                   for horizon in (3000, 12000))
+    assert long - short <= 14.5 * 8 * 9000
+
+
+@pytest.mark.parametrize("span", [0, 300, 1500])
+def test_estimation_pass_window_is_its_history_or_the_floor(monkeypatch, span):
+    # A pass steps max(256, m_max + 1) steps per block: never fewer than
+    # its history, so each history row moves at most once per step.
+    from selfsync import experiments, quantize_delays
+
+    real, seen = experiments._integrate, []
+
+    def integrate(g, params, cfg, window):
+        blocks = []
+        seen.append((int(quantize_delays(g, cfg.step_s).max()), window, blocks))
+        for block in real(g, params, cfg, window):
+            blocks.append(len(block[2]))
+            yield block
+
+    monkeypatch.setattr(experiments, "_integrate", integrate)
+    run_estimation_study(EstimationConfig(nodes=4, runs=1, horizon=4000, delay_span_steps=span))
+    ((m_max, window, blocks),) = seen
+    assert m_max == span and window == max(256, m_max + 1)
+    assert blocks[:-1] == [window] * (len(blocks) - 1) and sum(blocks) == 4000
 
 
 def test_estimation_study_zero_delay_collapses_curves():
@@ -299,6 +354,6 @@ def test_estimation_summary_csv_is_the_plain_repr_join(tmp_path):
     path = tmp_path / "mc.csv"
     summary.write_csv(path)
     names = ["mean_a", "mean_b", "mean_c", "mean_d", "std_a", "std_b", "std_c", "std_d"]
-    columns = [summary.steps.tolist()] + [getattr(summary, name).tolist() for name in names]
+    columns = [list(range(1100))] + [getattr(summary, name).tolist() for name in names]
     want = "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
     assert path.read_text() == "step," + ",".join(names) + "\n" + want

@@ -10,6 +10,16 @@ MODULES = ("cli", "consensus", "digraph", "dynamics", "experiments", "netgen")
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
+def test_package_all_is_the_modules_alls():
+    # The package re-exports each library module's __all__, in module order,
+    # and nothing else; the CLI exports nothing.
+    modules = [importlib.import_module(f"selfsync.{name}") for name in MODULES if name != "cli"]
+    assert selfsync.__all__ == [attr for module in modules for attr in module.__all__]
+    assert len(set(selfsync.__all__)) == len(selfsync.__all__)
+    assert not hasattr(importlib.import_module("selfsync.cli"), "__all__")
+    assert selfsync.write_trajectory_csv is selfsync.dynamics.write_trajectory_csv
+
+
 def test_star_import_and_every_all_resolve():
     namespace = {}
     exec("from selfsync import *", namespace)
