@@ -77,13 +77,12 @@ class Edge(NamedTuple):
     delay_s: float
 
 
-def _column(values, name: str, integral: bool, copy: bool) -> np.ndarray:
+def _column(values, name: str, integral: bool) -> np.ndarray:
     """One edge column as an array: integer ids, or real numbers.
 
     Bools, strings and other non-numbers are rejected rather than cast,
     including bools mixed into a list of numbers (numpy would read
-    ``[0, True]`` as integers).  Without ``copy`` an array already of the
-    column's dtype is kept as it is.
+    ``[0, True]`` as integers).
     """
     try:
         arr = np.asarray(values)
@@ -95,7 +94,7 @@ def _column(values, name: str, integral: bool, copy: bool) -> np.ndarray:
     if arr.size and (arr.dtype.kind not in kinds or has_bools):
         what = "integer ids" if integral else "real numbers"
         raise GraphFormatError(f"{name} values must be {what}, got {arr.dtype} values")
-    return arr.astype(np.int64 if integral else float, copy=copy)
+    return arr.astype(np.int64 if integral else float)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -119,28 +118,19 @@ class Digraph:
 
     def __init__(self, n: int, edges: Iterable[Edge]) -> None:
         edges = tuple(edges)
-        self._assign(n, [[getattr(e, name) for e in edges] for name in _COLUMNS], copy=False)
+        self._assign(n, *([getattr(e, name) for e in edges] for name in _COLUMNS))
 
     @classmethod
     def from_arrays(cls, n: int, dst, src, gain, delay_s) -> "Digraph":
         """Graph from per-edge arrays, validated like ``Digraph(n, edges)``."""
         g = cls.__new__(cls)
-        g._assign(n, (dst, src, gain, delay_s), copy=True)
+        g._assign(n, dst, src, gain, delay_s)
         return g
 
-    @classmethod
-    def _adopt(cls, n: int, dst, src, gain, delay_s) -> "Digraph":
-        """:meth:`from_arrays` for arrays that no caller writes to any more:
-        those of the right dtype are validated and made read-only, not copied."""
-        g = cls.__new__(cls)
-        g._assign(n, (dst, src, gain, delay_s), copy=False)
-        return g
-
-    def _assign(self, n, columns, copy: bool) -> None:
+    def _assign(self, n, *columns) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise GraphFormatError(f"node count must be a positive integer, got {n!r}")
-        cols = [_column(c, name, k < 2, copy)
-                for k, (c, name) in enumerate(zip(columns, _COLUMNS))]
+        cols = [_column(c, name, k < 2) for k, (c, name) in enumerate(zip(columns, _COLUMNS))]
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise GraphFormatError("dst, src, gain and delay_s must be 1-d and equally long")
         dst, src, gain, delay_s = cols
@@ -171,7 +161,7 @@ class Digraph:
             if not (delay_s.min() >= 0.0 and delay_s.max() < np.inf):
                 fail(~np.isfinite(delay_s) | (delay_s < 0.0), "has a negative or non-finite delay")
         object.__setattr__(self, "n", n)
-        for name, col in zip(_COLUMNS, cols):
+        for name, col in zip(_COLUMNS, cols):  # astype made each column a copy
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
@@ -196,7 +186,7 @@ class Digraph:
     def with_delays(self, delay_s: float) -> "Digraph":
         """Copy of the graph with every link's delay set to ``delay_s``."""
         new = np.full(self.dst.size, float(delay_s))
-        return Digraph._adopt(self.n, self.dst, self.src, self.gain, new)
+        return Digraph.from_arrays(self.n, self.dst, self.src, self.gain, new)
 
 
 def disjoint_union(graphs: "Iterable[Digraph]") -> Digraph:
@@ -210,7 +200,7 @@ def disjoint_union(graphs: "Iterable[Digraph]") -> Digraph:
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
     offsets = np.cumsum([0] + [g.n for g in graphs])
-    return Digraph._adopt(
+    return Digraph.from_arrays(
         int(offsets[-1]),
         np.concatenate([g.dst + off for g, off in zip(graphs, offsets)]),
         np.concatenate([g.src + off for g, off in zip(graphs, offsets)]),

@@ -29,7 +29,6 @@ from .dynamics import (
     _integrate,
     _write_csv,
     detect_consensus,
-    quantize_delays,
     simulate,
 )
 from .netgen import (
@@ -62,13 +61,11 @@ _CURVES = "abcd"  # the estimate curves, lettered as in McSummary
 # 2**17 links (medians of 3 on a noisy 2-core host): past 2**15 a step is
 # bound by its links, not by call overhead, and peak RSS grows (64 → 117 MB).
 _PASS_LINKS = 2**15
-# Fewest steps per block of an estimation pass: one list of row views of
-# the step loop.  A pass steps max(_PASS_WINDOW, m_max + 1) steps per block,
-# m_max + 1 being its history, and keeps only each block's node means, so
-# it holds about three history lengths of states and moves each history
-# row at most once per step (a shorter block overlaps the history it moves
-# to the front, which numpy copies through a temporary).  The default
-# 100-run study peaks at 51.6 MB RSS against 62.8 MB with 1024-step blocks.
+# Steps per block of an estimation pass, one list of row views of the step
+# loop; only each block's node means are kept, so a pass holds m_max + 513
+# rows of states and derivatives, not the whole horizon.  The default
+# 100-run study peaks at 51.6 MB RSS against 62.8 MB with 1024-step blocks
+# (91 MB with the whole 3000-step horizon in one block).
 _PASS_WINDOW = 256
 
 
@@ -250,9 +247,8 @@ def _estimation_pass(runs: "list[tuple[int, Digraph, NodeParams]]", sim_cfg: Sim
     copies = NodeParams(weights=np.concatenate(weights), stats=np.concatenate(stats))
     first, last, n = runs[0][0], runs[-1][0], runs[0][1].n
     rows = slice(first, last + 1)
-    window = max(_PASS_WINDOW, int(quantize_delays(union, sim_cfg.step_s).max(initial=0)) + 1)
     try:
-        for start, _, derivs in _integrate(union, copies, sim_cfg, window):
+        for start, _, derivs in _integrate(union, copies, sim_cfg, _PASS_WINDOW):
             cols = slice(start, start + len(derivs))
             means = derivs.reshape(len(derivs), len(runs), 3, n).mean(axis=3).T
             curves["b"][rows, cols] = means[0]

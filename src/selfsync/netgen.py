@@ -205,7 +205,7 @@ def build_channel(cfg: RadioConfig, positions: np.ndarray) -> Digraph:
     delay /= wave  # an infinite wave speed gives zero delays
     delay += cfg.delay_offset_s
     dst, src = np.nonzero(heard)
-    return Digraph._adopt(cfg.n, dst, src, gain, delay)
+    return Digraph.from_arrays(cfg.n, dst, src, gain, delay)
 
 
 def ensure_connectivity(

@@ -19,7 +19,6 @@ from selfsync import (
     GraphFormatError,
     NullSpaceError,
     classify,
-    disjoint_union,
     laplacian,
     load_graph,
     preset_network,
@@ -75,23 +74,6 @@ def test_matrices_and_with_delays():
     custom = with_delay_matrix(g, mat)
     assert delay_matrix(custom)[1, 0] == 0.4
     assert delay_matrix(custom)[2, 1] == 0.6
-
-
-def test_from_arrays_copies_and_every_graph_is_read_only():
-    # A caller's arrays stay its own and writeable; the graphs that the
-    # package builds from arrays it made itself share them, read-only.
-    cols = [np.array([1, 2]), np.array([0, 1]), np.array([2.0, 0.5]), np.array([0.25, 0.75])]
-    g = Digraph.from_arrays(3, *cols)
-    cols[2][0] = 9.0
-    assert g.gain[0] == 2.0 and all(col.flags.writeable for col in cols)
-    flat = g.with_delays(0.1)
-    assert flat.dst is g.dst and flat.gain is g.gain
-    union = disjoint_union([g, flat])
-    for graph in (g, flat, union):
-        assert not any(getattr(graph, name).flags.writeable
-                       for name in ("dst", "src", "gain", "delay_s"))
-        with pytest.raises(ValueError):
-            graph.delay_s[0] = 1.0
 
 
 def test_laplacian_hand_derived():

@@ -207,7 +207,7 @@ def _study_runs(cfg):
 
 
 def _record_passes(monkeypatch, links: int, window: int) -> list:
-    """Patch the pass budget and window floor; return the list each pass's runs go to."""
+    """Patch the pass budget and window; return the list each pass's runs go to."""
     from selfsync import experiments
 
     real_pass = experiments._estimation_pass
@@ -223,16 +223,14 @@ def test_estimation_study_equals_three_separate_simulations(monkeypatch):
     # The study simulates consecutive runs' three networks as disjoint unions,
     # a window of steps at a time; rebuild every run here with three separate
     # simulate calls instead.  The second input spans three passes (link
-    # budget patched down) with a horizon that its window does not divide,
-    # and delays under 64 steps, so the patched window is not raised to
-    # the pass's history.
+    # budget patched down) with a horizon that its window does not divide.
     from selfsync import SimConfig, simulate
     from selfsync import experiments
 
     for cfg, links, window, want_passes in (
         (EstimationConfig(nodes=6, runs=2, horizon=300, seed=5),
          experiments._PASS_LINKS, experiments._PASS_WINDOW, [[0, 1]]),
-        (EstimationConfig(nodes=6, runs=5, horizon=300, delay_span_steps=50, seed=6), 200, 64,
+        (EstimationConfig(nodes=6, runs=5, horizon=300, seed=6), 200, 64,
          [[0, 1], [2, 3], [4]]),
     ):
         passes = _record_passes(monkeypatch, links, window)
@@ -252,15 +250,13 @@ def test_estimation_study_equals_three_separate_simulations(monkeypatch):
 
 
 def test_diverging_pass_names_its_runs_and_the_first_bad_step(monkeypatch):
-    # Two runs per pass, 64-step windows (the delays span 50 steps, under
-    # the window); the first pass diverges in its fifth window, at the
-    # first step any of its six copies would.
+    # Two runs per pass, 64-step windows; the first pass diverges in its
+    # fifth window, at the first step any of its six copies would.
     import warnings
 
     from selfsync import SimConfig, SimulationDiverged, StepSizeWarning, simulate
 
-    cfg = EstimationConfig(nodes=6, runs=3, horizon=400, coupling=2000.0, delay_span_steps=50,
-                           seed=3)
+    cfg = EstimationConfig(nodes=6, runs=3, horizon=400, coupling=2000.0, seed=3)
     passes = _record_passes(monkeypatch, 200, 64)
     sim_cfg = SimConfig(coupling=cfg.coupling, step_s=cfg.step_s, horizon=cfg.horizon)
     firsts = []
@@ -288,10 +284,11 @@ def _study_peak(cfg):
         tracemalloc.stop()
 
 
-def test_estimation_pass_memory_is_a_few_history_lengths():
+def test_estimation_pass_memory_is_a_few_blocks():
     # Two runs are one pass of six 40-node copies whose delays span 100
     # steps: 256-step blocks hold about 1.2 MB of states and derivatives,
-    # where fixed 1024-step blocks held 4.1 MB and peaked at 5.4e6 bytes.
+    # where 1024-step blocks held 4.1 MB and peaked at 5.4e6 bytes (bounds
+    # here measured with numpy 2.4.6).
     assert _study_peak(EstimationConfig(nodes=40, runs=2)) <= 3e6
 
 
@@ -303,28 +300,6 @@ def test_estimation_study_memory_grows_only_by_its_curves():
     short, long = (_study_peak(EstimationConfig(nodes=2, runs=1, horizon=horizon))
                    for horizon in (3000, 12000))
     assert long - short <= 14.5 * 8 * 9000
-
-
-@pytest.mark.parametrize("span", [0, 300, 1500])
-def test_estimation_pass_window_is_its_history_or_the_floor(monkeypatch, span):
-    # A pass steps max(256, m_max + 1) steps per block: never fewer than
-    # its history, so each history row moves at most once per step.
-    from selfsync import experiments, quantize_delays
-
-    real, seen = experiments._integrate, []
-
-    def integrate(g, params, cfg, window):
-        blocks = []
-        seen.append((int(quantize_delays(g, cfg.step_s).max()), window, blocks))
-        for block in real(g, params, cfg, window):
-            blocks.append(len(block[2]))
-            yield block
-
-    monkeypatch.setattr(experiments, "_integrate", integrate)
-    run_estimation_study(EstimationConfig(nodes=4, runs=1, horizon=4000, delay_span_steps=span))
-    ((m_max, window, blocks),) = seen
-    assert m_max == span and window == max(256, m_max + 1)
-    assert blocks[:-1] == [window] * (len(blocks) - 1) and sum(blocks) == 4000
 
 
 def test_estimation_study_zero_delay_collapses_curves():
